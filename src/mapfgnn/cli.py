@@ -142,6 +142,7 @@ class RunConfig:
                 oe_interval=self.oe_interval,
                 oe_cases=self.oe_cases,
                 expert_timeout_s=self.timeout_s,
+                comm_radius=self.comm_radius,
                 seed=self.seed,
             )
         except ValueError as exc:
@@ -280,7 +281,6 @@ def _cmd_build_dataset(args, config: RunConfig) -> int:
             ds,
             fov_radius=config.fov_radius,
             comm_radius=config.comm_radius,
-            dense=args.dense,
             meta=meta,
         )
         print(f"build-dataset: {name} split has {len(records)} cases, {len(ds)} samples")
@@ -355,7 +355,7 @@ def _load_eval_records(args, maps):
     records = [rec for rec in records if rec.plan is not None]
     split_path = os.path.join(args.data_dir, f"dataset.{args.split}.jsonl")
     if os.path.exists(split_path):
-        ids = datastore.load_dataset(split_path, maps).case_ids()
+        ids = datastore.load_dataset_case_ids(split_path)
         records = [rec for rec in records if rec.case_id in ids]
     return records
 
@@ -562,7 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub("build-dataset", "maps + cases + expert plans + split sample files")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--dense", action="store_true", help="store observation tensors")
     _add_config_flags(
         p,
         "num_maps",
@@ -599,7 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
         "comm_radius",
         "timeout_s",
         "seed",
-        "workers",
     )
 
     p = sub("eval", "roll a policy over a split and write metric CSVs")

@@ -2,11 +2,10 @@
 
 Pools and datasets are JSON-lines: line 1 is a header carrying the schema
 tag, the record kind, a record count (for truncation checks), and caller
-metadata; every following line is one record. Reals are written with 17
-significant digits so float64 values round-trip bit-exactly and re-running
-a seeded pipeline reproduces files byte for byte. Observations and
-communication matrices are rebuilt from stored positions on load unless the
-dataset was saved dense.
+metadata; every following line is one record. Reals are spelled by repr,
+so float64 values round-trip bit-exactly and re-running a seeded pipeline
+reproduces files byte for byte. Datasets store geometry only: observations
+and communication matrices are rebuilt from stored positions on load.
 """
 
 from __future__ import annotations
@@ -50,53 +49,13 @@ _CASE_STREAM = 49979687
 
 
 # ---------------------------------------------------------------------------
-# canonical JSON: fixed key order comes from the caller, floats are printed
-# with 17 significant digits (exact for float64), separators are compact
-
-
-def format_real(x: float) -> str:
-    if not np.isfinite(x):
-        raise ValueError(f"cannot store non-finite real {x!r}")
-    return format(float(x), ".17g")
-
-
-def _dump_value(value, out: list) -> None:
-    if value is None:
-        out.append("null")
-    elif isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, (int, np.integer)):
-        out.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        out.append(format_real(value))
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(value):
-            if i:
-                out.append(",")
-            _dump_value(item, out)
-        out.append("]")
-    elif isinstance(value, np.ndarray):
-        _dump_value(value.tolist(), out)
-    elif isinstance(value, dict):
-        out.append("{")
-        for i, (key, item) in enumerate(value.items()):
-            if i:
-                out.append(",")
-            out.append(json.dumps(str(key)))
-            out.append(":")
-            _dump_value(item, out)
-        out.append("}")
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
+# canonical JSON: fixed key order comes from the caller, floats are spelled by
+# repr (exact for float64), separators are compact
 
 
 def dumps_canonical(value) -> str:
-    out: list = []
-    _dump_value(value, out)
-    return "".join(out)
+    """The one encoder for every JSON artifact; non-finite reals raise ValueError."""
+    return json.dumps(value, allow_nan=False, separators=(",", ":"))
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -123,34 +82,47 @@ def _require(doc: dict, key: str, path: str, lineno: int):
     return doc[key]
 
 
-def _check_header(doc: dict, kind: str, path: str) -> None:
+def _header(kind: str, meta, **extra) -> dict:
+    """Schema tag and record kind first, caller metadata last."""
+    return {"schema": SCHEMA_VERSION, "kind": kind, **extra, "meta": dict(meta) if meta else {}}
+
+
+def _check_header(doc: dict, kind: str | None, path: str) -> None:
     tag = doc.get("schema")
     if tag != SCHEMA_VERSION:
         raise VersionMismatch(
             f"{path}: schema tag {tag!r}, expected {SCHEMA_VERSION!r}"
         )
-    if doc.get("kind") != kind:
+    if kind is not None and doc.get("kind") != kind:
         raise ParseError(
             f"expected kind {kind!r}, found {doc.get('kind')!r}", path=path, line=1
         )
 
 
-def _write_jsonl(path: str, kind: str, records: list, header_extra=None, meta=None):
-    header = {"schema": SCHEMA_VERSION, "kind": kind, "count": len(records)}
-    if header_extra:
-        header.update(header_extra)
-    header["meta"] = dict(meta) if meta else {}
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read file: {exc}", path=path)
+
+
+def _read_document(path: str, kind: str) -> dict:
+    """A single-document JSON artifact (weights, trace) with its header checked."""
+    doc = _parse_line(_read_text(path), path, 1)
+    _check_header(doc, kind, path)
+    return doc
+
+
+def _write_jsonl(path: str, kind: str, records: list, meta=None, **header_extra):
+    header = _header(kind, meta, count=len(records), **header_extra)
     lines = [dumps_canonical(header)]
     lines.extend(dumps_canonical(rec) for rec in records)
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def _read_jsonl(path: str, kind: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise ParseError(f"cannot read file: {exc}", path=path)
+    lines = _read_text(path).splitlines()
     if not lines:
         raise ParseError("empty file", path=path, line=1)
     header = _parse_line(lines[0], path, 1)
@@ -176,13 +148,11 @@ def _read_jsonl(path: str, kind: str):
 
 @dataclass(frozen=True)
 class CaseRecord:
-    """A case plus its expert solution and solver metadata."""
+    """A case plus its expert solution, if it has been solved."""
 
     case_id: str
     case: Case
     plan: Plan | None = None
-    timed_out: bool = False
-    runtime_s: float | None = None
 
     @property
     def map_id(self) -> str:
@@ -299,8 +269,6 @@ def save_cases(path: str, records: list[CaseRecord], meta=None) -> None:
                 "starts": _cells_to_lists(rec.case.starts),
                 "goals": _cells_to_lists(rec.case.goals),
                 "plan": _plan_to_doc(rec.plan) if rec.plan is not None else None,
-                "timed_out": rec.timed_out,
-                "runtime_s": rec.runtime_s,
             }
         )
     _write_jsonl(path, "cases", docs, meta=meta)
@@ -327,15 +295,8 @@ def load_cases(path: str, maps: dict[str, GridMap]) -> list[CaseRecord]:
                 validate_plan(maps[map_id], case, plan)
             except ValueError as exc:
                 raise ParseError(f"stored plan invalid: {exc}", path=path, line=lineno)
-        runtime = doc.get("runtime_s")
         out.append(
-            CaseRecord(
-                case_id=_require(doc, "case_id", path, lineno),
-                case=case,
-                plan=plan,
-                timed_out=bool(doc.get("timed_out", False)),
-                runtime_s=None if runtime is None else float(runtime),
-            )
+            CaseRecord(case_id=_require(doc, "case_id", path, lineno), case=case, plan=plan)
         )
     return out
 
@@ -349,13 +310,11 @@ def save_dataset(
     dataset: Dataset,
     fov_radius: int = DEFAULT_FOV_RADIUS,
     comm_radius: float = DEFAULT_COMM_RADIUS,
-    dense: bool = False,
     meta=None,
 ) -> None:
-    """Samples as geometry (positions, goals, labels); dense adds tensors."""
-    docs = []
-    for s in dataset.samples:
-        doc = {
+    """Samples as geometry (positions, goals, labels); load rebuilds tensors."""
+    docs = [
+        {
             "case_id": s.case_id,
             "map_id": s.map_id,
             "t": s.t,
@@ -363,24 +322,23 @@ def save_dataset(
             "goals": _cells_to_lists(s.goals),
             "labels": [int(a) for a in s.labels],
         }
-        if dense:
-            doc["obs"] = s.obs.astype(int).tolist()
-            doc["gso"] = s.gso.tolist()
-        docs.append(doc)
-    extra = {
-        "split": dataset.split,
-        "fov_radius": int(fov_radius),
-        "comm_radius": float(comm_radius),
-        "dense": bool(dense),
-    }
-    _write_jsonl(path, "dataset", docs, header_extra=extra, meta=meta)
+        for s in dataset.samples
+    ]
+    _write_jsonl(
+        path,
+        "dataset",
+        docs,
+        meta=meta,
+        split=dataset.split,
+        fov_radius=int(fov_radius),
+        comm_radius=float(comm_radius),
+    )
 
 
 def load_dataset(path: str, maps: dict[str, GridMap]) -> Dataset:
     header, records = _read_jsonl(path, "dataset")
     fov = int(header.get("fov_radius", DEFAULT_FOV_RADIUS))
     comm = float(header.get("comm_radius", DEFAULT_COMM_RADIUS))
-    dense = bool(header.get("dense", False))
     samples = []
     for doc, lineno in records:
         map_id = _require(doc, "map_id", path, lineno)
@@ -391,18 +349,12 @@ def load_dataset(path: str, maps: dict[str, GridMap]) -> Dataset:
         labels = np.asarray(_require(doc, "labels", path, lineno), dtype=np.int64)
         if labels.size != len(positions):
             raise ParseError("label count != robot count", path=path, line=lineno)
-        if dense:
-            obs = np.asarray(doc["obs"], dtype=np.uint8)
-            gso = np.asarray(doc["gso"], dtype=np.float64)
-        else:
-            obs = team_observations(maps[map_id], positions, goals, fov).astype(np.uint8)
-            gso = build_gso(positions, comm).matrix
         samples.append(
             Sample(
                 case_id=_require(doc, "case_id", path, lineno),
                 t=int(_require(doc, "t", path, lineno)),
-                obs=obs,
-                gso=gso,
+                obs=team_observations(maps[map_id], positions, goals, fov).astype(np.uint8),
+                gso=build_gso(positions, comm).matrix,
                 labels=labels,
                 map_id=map_id,
                 positions=positions,
@@ -412,36 +364,29 @@ def load_dataset(path: str, maps: dict[str, GridMap]) -> Dataset:
     return Dataset(split=str(header.get("split", "train")), samples=samples)
 
 
+def load_dataset_case_ids(path: str) -> set[str]:
+    """Case ids of a dataset file, without rebuilding any observation."""
+    _, records = _read_jsonl(path, "dataset")
+    return {_require(doc, "case_id", path, lineno) for doc, lineno in records}
+
+
 # ---------------------------------------------------------------------------
 # weights, traces
 
 
 def save_weights(path: str, net: PolicyNetwork, meta=None) -> None:
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "kind": "weights",
-        "meta": dict(meta) if meta else {},
-        "model": net.to_jsonable(),
-    }
+    doc = {**_header("weights", meta), "model": net.to_jsonable()}
     atomic_write_text(path, dumps_canonical(doc) + "\n")
 
 
 def load_weights(path: str) -> PolicyNetwork:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read file: {exc}", path=path)
-    doc = _parse_line(text, path, 1)
-    _check_header(doc, "weights", path)
+    doc = _read_document(path, "weights")
     return PolicyNetwork.from_jsonable(_require(doc, "model", path, 1))
 
 
 def save_trace(path: str, traj: Trajectory, case_id: str = "", meta=None) -> None:
     doc = {
-        "schema": SCHEMA_VERSION,
-        "kind": "trace",
-        "meta": dict(meta) if meta else {},
+        **_header("trace", meta),
         "case_id": case_id,
         "map_id": traj.case.map_id,
         "goals": _cells_to_lists(traj.case.goals),
@@ -456,13 +401,7 @@ def save_trace(path: str, traj: Trajectory, case_id: str = "", meta=None) -> Non
 
 
 def load_trace(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read file: {exc}", path=path)
-    doc = _parse_line(text, path, 1)
-    _check_header(doc, "trace", path)
+    doc = _read_document(path, "trace")
     for key in ("case_id", "map_id", "positions", "success", "arrivals"):
         _require(doc, key, path, 1)
     return doc
@@ -470,7 +409,7 @@ def load_trace(path: str) -> dict:
 
 # ---------------------------------------------------------------------------
 # CSV artifacts: line 1 is a '#' comment holding the schema header, then a
-# regular CSV table; reals use the same 17-significant-digit format
+# regular CSV table; reals are spelled by repr, as in the JSON files
 
 
 def _format_cell(value) -> str:
@@ -482,14 +421,13 @@ def _format_cell(value) -> str:
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         # CSV cells may be missing (e.g. no validation split): leave empty
-        return format_real(value) if np.isfinite(value) else ""
+        return repr(float(value)) if np.isfinite(value) else ""
     return str(value)
 
 
 def write_csv(path: str, kind: str, fieldnames: list[str], rows: list[dict], meta=None):
-    header = {"schema": SCHEMA_VERSION, "kind": kind, "meta": dict(meta) if meta else {}}
     buf = io.StringIO()
-    buf.write("# " + dumps_canonical(header) + "\n")
+    buf.write("# " + dumps_canonical(_header(kind, meta)) + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(fieldnames)
     for row in rows:
@@ -499,20 +437,11 @@ def write_csv(path: str, kind: str, fieldnames: list[str], rows: list[dict], met
 
 def read_csv(path: str, kind: str | None = None):
     """Returns (header dict, fieldnames, rows as string dicts)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise ParseError(f"cannot read file: {exc}", path=path)
+    lines = _read_text(path).splitlines()
     if not lines or not lines[0].startswith("# "):
         raise ParseError("missing schema comment line", path=path, line=1)
     header = _parse_line(lines[0][2:], path, 1)
-    if kind is not None:
-        _check_header(header, kind, path)
-    elif header.get("schema") != SCHEMA_VERSION:
-        raise VersionMismatch(
-            f"{path}: schema tag {header.get('schema')!r}, expected {SCHEMA_VERSION!r}"
-        )
+    _check_header(header, kind, path)
     body = list(csv.reader(lines[1:]))
     if not body:
         raise ParseError("missing CSV column header", path=path, line=2)
@@ -666,12 +595,11 @@ def generate_case_pool(
 
 
 def _solve_one(args):
-    # runtime_s stays None here on purpose: stored files must be seed-pure
     grid, record, timeout_s = args
     try:
         plan = cbs_solve(grid, record.case, timeout_s=timeout_s)
     except SolverTimeout:
-        return replace(record, timed_out=True), "timeout"
+        return record, "timeout"
     except (PlanInfeasible, MapfGnnError):
         return record, "unsolvable"
     return replace(record, plan=plan), "solved"

@@ -105,7 +105,6 @@ class Gso:
 
     matrix: np.ndarray
     comm_radius: float
-    normalization: str = "spectral"
 
 
 @dataclass(frozen=True)
@@ -255,18 +254,12 @@ def team_observations(
     return np.stack(obs, axis=0)
 
 
-def build_gso(
-    positions,
-    comm_radius: float = DEFAULT_COMM_RADIUS,
-    normalization: str = "spectral",
-) -> Gso:
+def build_gso(positions, comm_radius: float = DEFAULT_COMM_RADIUS) -> Gso:
     """Communication matrix: binary adjacency on the Euclidean distance rule,
     divided by its largest-magnitude eigenvalue when any edge exists."""
     n = len(positions)
     if n < 1:
         raise ValueError("need at least one robot")
-    if normalization not in ("spectral", "none"):
-        raise ValueError(f"unknown normalization {normalization!r}")
     mat = np.zeros((n, n), dtype=np.float64)
     for i in range(n):
         xi, yi = positions[i]
@@ -275,10 +268,10 @@ def build_gso(
             if math.hypot(xi - xj, yi - yj) <= comm_radius:
                 mat[i, j] = 1.0
                 mat[j, i] = 1.0
-    if normalization == "spectral" and mat.any():
+    if mat.any():
         lam = np.abs(np.linalg.eigvalsh(mat)).max()
         mat = mat / lam
-    return Gso(matrix=mat, comm_radius=comm_radius, normalization=normalization)
+    return Gso(matrix=mat, comm_radius=comm_radius)
 
 
 def step_positions(grid: GridMap, positions, actions) -> list[Cell]:

@@ -7,7 +7,6 @@ away in the communication graph, and K=1 makes robots fully independent.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,13 +153,6 @@ class PolicyNetwork:
         net = cls(PolicyArch.from_jsonable(doc["arch"]), seed=0)
         net.store.load_jsonable(doc["params"])
         return net
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_jsonable())
-
-    @classmethod
-    def from_json(cls, text: str) -> "PolicyNetwork":
-        return cls.from_jsonable(json.loads(text))
 
 
 def policy_forward(

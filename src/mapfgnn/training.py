@@ -46,6 +46,7 @@ class TrainConfig:
     oe_interval: int = 4
     oe_cases: int = 500
     expert_timeout_s: float = 300.0
+    comm_radius: float = DEFAULT_COMM_RADIUS
     seed: int = 0
 
     def __post_init__(self):
@@ -60,8 +61,8 @@ class Sample:
     """One timestep of one case; observations stored as compact binary.
 
     Positions and goals make the sample self-describing: observations and
-    the communication matrix can be rebuilt from them plus the map, so
-    persistence may store either the dense tensors or just the geometry.
+    the communication matrix are rebuilt from them plus the map, so
+    persistence stores just the geometry.
     """
 
     case_id: str
@@ -280,7 +281,7 @@ def aggregate_online_expert(
     k = min(config.oe_cases, len(train_records))
     picks = rng.choice(len(train_records), size=k, replace=False)
     if policy_factory is None:
-        shared = NetworkPolicy(net, mode="greedy")
+        shared = NetworkPolicy(net, mode="greedy", comm_radius=config.comm_radius)
         policy_factory = lambda rec: shared
     failures = 0
     repairs = 0
@@ -310,6 +311,7 @@ def aggregate_online_expert(
             repair_plan,
             case_id=f"{rec.case_id}/oe{epoch}",
             fov_radius=net.arch.fov_radius,
+            comm_radius=config.comm_radius,
         )
         dataset.samples.extend(samples)
         added += len(samples)

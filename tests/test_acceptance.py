@@ -697,7 +697,6 @@ def test_criterion_10_determinism(tmp_path):
                 "--oe-interval", "2",
                 "--oe-cases", "3",
                 "--seed", "17",
-                "--workers", "1",
                 "--timeout-s", "30",
             ]
         )

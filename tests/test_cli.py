@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from mapfgnn import cli
+from mapfgnn import cli, datastore
 from mapfgnn.cli import RunConfig, build_parser, main, resolve_config
 from mapfgnn.datastore import load_trace, read_csv, solve_case_pool
 from mapfgnn.errors import ConfigError
@@ -108,6 +108,10 @@ class TestResolveConfig:
         )
         config = resolve_config(args)
         assert config.lr_max == 1e-3 and config.batch_size == 64 and config.taps == 3
+
+    def test_train_rejects_workers_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            parse(["train", "--data-dir", "d", "--out-dir", "o", "--workers", "2"])
 
 
 class TestExitCodes:
@@ -258,7 +262,31 @@ class TestTrainEvalRollout:
         assert rc == 0
         _, fields, rows = read_csv(str(out), "long")
         assert fields == ["label", "metric", "value"]
-        assert any(r["metric"] == "alpha" and r["value"] == "1" for r in rows)
+        assert any(r["metric"] == "alpha" and r["value"] == "1.0" for r in rows)
+
+    def test_eval_reads_split_ids_without_building_observations(
+        self, workspace, monkeypatch
+    ):
+        tmp_path, data_dir, _, _ = workspace
+        maps = datastore.load_maps(str(data_dir / "maps.jsonl"))
+        expected = datastore.load_dataset(
+            str(data_dir / "dataset.test.jsonl"), maps
+        ).case_ids()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eval rebuilt observations")
+
+        monkeypatch.setattr(datastore, "team_observations", forbidden)
+        args = parse(["eval", "--data-dir", str(data_dir), "--out-dir", "o",
+                      "--split", "test", "--policy", "expert-replay"])
+        picked = {rec.case_id for rec in cli._load_eval_records(args, maps)}
+        assert picked == expected
+        out_dir = tmp_path / "eval_ids"
+        rc = main(["eval", "--data-dir", str(data_dir), "--out-dir", str(out_dir),
+                   "--split", "test", "--policy", "expert-replay"])
+        assert rc == 0
+        _, _, rows = read_csv(str(out_dir / "report.csv"), "report")
+        assert rows[0]["num_cases"] == str(len(expected))
 
 
 class TestOracleCheck:

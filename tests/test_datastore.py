@@ -9,7 +9,6 @@ from mapfgnn.datastore import (
     build_dataset,
     dumps_canonical,
     expand_samples,
-    format_real,
     generate_case_pool,
     generate_map_pool,
     load_cases,
@@ -32,7 +31,7 @@ from mapfgnn.datastore import (
 from mapfgnn.errors import ParseError, VersionMismatch
 from mapfgnn.executor import MetricsReport, PlanReplayPolicy, rollout
 from mapfgnn.expert import Plan, cbs_solve
-from mapfgnn.gridworld import Case, generate_case, generate_map
+from mapfgnn.gridworld import Case, GridMap, generate_case, generate_map
 from mapfgnn.policy import PolicyArch, PolicyNetwork
 from mapfgnn.training import split_dataset
 
@@ -56,25 +55,24 @@ def small_pool(seed=11):
 
 class TestCanonicalJson:
     def test_reals_round_trip_exactly(self):
-        for x in (0.1, 1 / 3, 2.0 / 7, 1e-17, 123456.789, 5e-324):
-            assert float(format_real(x)) == x
+        for x in (0.1, 1 / 3, 2.0 / 7, 1e-17, 123456.789, 5e-324, -0.0):
+            back = json.loads(dumps_canonical(x))
+            assert isinstance(back, float)
+            assert np.float64(back).tobytes() == np.float64(x).tobytes()
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            format_real(float("nan"))
+            dumps_canonical(float("nan"))
         with pytest.raises(ValueError):
-            format_real(float("inf"))
+            dumps_canonical({"a": [float("inf")]})
 
     def test_value_kinds(self):
-        doc = {"a": 1, "b": [0.5, None, True], "c": "x\"y", "d": np.int64(3)}
+        doc = {"a": 1, "b": [0.5, None, True], "c": "x\"y"}
         text = dumps_canonical(doc)
-        assert json.loads(text) == {"a": 1, "b": [0.5, None, True], "c": 'x"y', "d": 3}
+        assert json.loads(text) == {"a": 1, "b": [0.5, None, True], "c": 'x"y'}
 
     def test_integers_stay_integers(self):
         assert dumps_canonical([3, -7, 0]) == "[3,-7,0]"
-
-    def test_numpy_arrays_flatten(self):
-        assert json.loads(dumps_canonical(np.arange(3))) == [0, 1, 2]
 
 
 class TestMapsFile:
@@ -208,17 +206,6 @@ class TestDatasetFile:
             assert np.array_equal(a.gso, b.gso)
             assert np.array_equal(a.labels, b.labels)
 
-    def test_dense_flag_stores_tensors(self, tmp_path):
-        maps, pool, _ = small_pool()
-        ds = expand_samples(pool[:1], maps)
-        p = tmp_path / "dataset.train.jsonl"
-        save_dataset(str(p), ds, dense=True)
-        doc = json.loads(p.read_text().splitlines()[1])
-        assert "obs" in doc and "gso" in doc
-        back = load_dataset(str(p), maps)
-        assert np.array_equal(back.samples[0].obs, ds.samples[0].obs)
-        assert np.array_equal(back.samples[0].gso, ds.samples[0].gso)
-
     def test_save_load_save_byte_identical(self, tmp_path):
         maps, pool, _ = small_pool()
         ds = expand_samples(pool, maps, split="valid")
@@ -271,6 +258,19 @@ class TestWeightsFile:
         save_weights(str(b), load_weights(str(a)))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_signed_zero_and_subnormal_keep_their_bits(self, tmp_path):
+        net = PolicyNetwork(TINY, seed=3)
+        weight = net.store.params[next(iter(net.store.params))]
+        flat = weight.reshape(-1)
+        flat[:3] = (-0.0, 5e-324, -5e-324)
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        save_weights(str(a), net)
+        back = load_weights(str(a)).store.params[next(iter(net.store.params))]
+        assert np.signbit(back.reshape(-1)[0])
+        assert back.tobytes() == weight.tobytes()
+        save_weights(str(b), load_weights(str(a)))
+        assert a.read_bytes() == b.read_bytes()
+
     def test_schema_tag_checked(self, tmp_path):
         net = PolicyNetwork(TINY, seed=3)
         p = tmp_path / "model.json"
@@ -278,6 +278,61 @@ class TestWeightsFile:
         p.write_text(p.read_text().replace(SCHEMA_VERSION, "nope", 1))
         with pytest.raises(VersionMismatch):
             load_weights(str(p))
+
+
+class TestEarlierSpelling:
+    """Files written with 17-significant-digit reals and the since-dropped
+    dense, timed_out and runtime_s keys still load to the same objects."""
+
+    SCHEMA = '{"schema":"mapfgnn-files-v1",'
+    MAPS = SCHEMA + (
+        '"kind":"maps","count":1,"meta":{"density":0.10000000000000001}}\n'
+        '{"map_id":"m0000","width":4,"height":3,"density":0.10000000000000001,'
+        '"seed":7,"obstacles":[[1,1]]}\n'
+    )
+    CASES = SCHEMA + (
+        '"kind":"cases","count":1,"meta":{}}\n'
+        '{"case_id":"m0000/c0000","map_id":"m0000","starts":[[0,0],[0,2]],'
+        '"goals":[[2,0],[2,2]],"plan":{"paths":[[[0,0],[1,0],[2,0]],[[0,2],[1,2],[2,2]]],'
+        '"flowtime":4,"makespan":2},'
+        '"timed_out":false,"runtime_s":null}\n'
+    )
+    DATASET = SCHEMA + (
+        '"kind":"dataset","count":2,"split":"test","fov_radius":1,"comm_radius":5,'
+        '"dense":false,"meta":{}}\n'
+        '{"case_id":"m0000/c0000","map_id":"m0000","t":0,"positions":[[0,0],[0,2]],'
+        '"goals":[[2,0],[2,2]],"labels":[4,4]}\n'
+        '{"case_id":"m0000/c0000","map_id":"m0000","t":1,"positions":[[1,0],[1,2]],'
+        '"goals":[[2,0],[2,2]],"labels":[4,4]}\n'
+    )
+    CSV = "# " + SCHEMA + (
+        '"kind":"report","meta":{}}\n'
+        "label,num_cases,num_success,alpha,flowtime,expert_flowtime,delta_ft\n"
+        "k3,3,1,0.33333333333333331,7,6,0.16666666666666666\n"
+    )
+
+    def test_loads_to_equal_objects(self, tmp_path):
+        for name in ("MAPS", "CASES", "DATASET", "CSV"):
+            (tmp_path / name).write_text(getattr(self, name))
+        maps = load_maps(str(tmp_path / "MAPS"))
+        grid = GridMap(4, 3, frozenset({(1, 1)}), density=0.1, seed=7)
+        assert maps == {"m0000": grid}
+        case = Case(map_id="m0000", starts=((0, 0), (0, 2)), goals=((2, 0), (2, 2)))
+        paths = (((0, 0), (1, 0), (2, 0)), ((0, 2), (1, 2), (2, 2)))
+        plan = Plan(paths=paths, flowtime=4, makespan=2)
+        expected = CaseRecord(case_id="m0000/c0000", case=case, plan=plan)
+        assert load_cases(str(tmp_path / "CASES"), maps) == [expected]
+        back = load_dataset(str(tmp_path / "DATASET"), maps)
+        fresh = expand_samples([expected], maps, split="test", fov_radius=1)
+        assert back.split == "test" and len(back) == len(fresh) == 2
+        for a, b in zip(fresh.samples, back.samples):
+            assert (a.case_id, a.t, a.positions, a.goals) == (b.case_id, b.t, b.positions, b.goals)
+            assert np.array_equal(a.obs, b.obs)
+            assert np.array_equal(a.gso, b.gso)
+            assert np.array_equal(a.labels, b.labels)
+        _, _, rows = read_csv(str(tmp_path / "CSV"), "report")
+        assert float(rows[0]["alpha"]) == 1 / 3
+        assert float(rows[0]["delta_ft"]) == 1 / 6
 
 
 class TestTraceFile:

@@ -154,12 +154,12 @@ class TestSerialization:
         obs = random_obs(rng, 3)
         s = path_gso(3)
         net.forward(obs, s, train=True)  # move running stats off their init
-        restored = PolicyNetwork.from_json(net.to_json())
+        restored = PolicyNetwork.from_jsonable(net.to_jsonable())
         assert np.array_equal(restored.forward(obs, s), net.forward(obs, s))
 
     def test_rejects_unknown_format(self):
         with pytest.raises(VersionMismatch):
-            PolicyNetwork.from_json('{"format": "something-else"}')
+            PolicyNetwork.from_jsonable({"format": "something-else"})
 
     def test_arch_round_trip(self):
         arch = PolicyArch(taps=2)

@@ -6,7 +6,7 @@ import pytest
 from mapfgnn.errors import NonFiniteGradient
 from mapfgnn.executor import IdlePolicy, PlanReplayPolicy
 from mapfgnn.expert import cbs_solve
-from mapfgnn.gridworld import generate_case, generate_map
+from mapfgnn.gridworld import build_gso, generate_case, generate_map
 from mapfgnn.policy import PolicyArch, PolicyNetwork
 from mapfgnn.training import (
     AdamState,
@@ -285,7 +285,7 @@ class TestOnlineExpert:
         ds = dataset_from(records, maps)
         before = len(ds)
         net = PolicyNetwork(TINY, seed=6)
-        cfg = TrainConfig(oe_cases=3, seed=0)
+        cfg = TrainConfig(oe_cases=3, comm_radius=2.0, seed=0)
         rolled, failed, repaired, added = aggregate_online_expert(
             net, ds, records, maps, cfg, epoch=0,
             policy_factory=lambda rec: IdlePolicy(),
@@ -294,6 +294,13 @@ class TestOnlineExpert:
         # idle never moves, so each repair replans the original case
         assert added == sum(r.plan.makespan for r in records)
         assert len(ds) == before + added
+        # repair samples use the configured radius, not the 5.0 default
+        repairs = ds.samples[before:]
+        for s in repairs:
+            assert np.array_equal(s.gso, build_gso(s.positions, 2.0).matrix)
+        assert any(
+            not np.array_equal(s.gso, build_gso(s.positions, 5.0).matrix) for s in repairs
+        )
 
     def test_aggregation_never_removes_samples(self):
         maps, records = solved_pool(num_cases=2, robots=2, seed=11)
