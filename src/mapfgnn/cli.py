@@ -288,21 +288,26 @@ def _cmd_build_dataset(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_split(data_dir: str, split: str, maps) -> Dataset:
-    return datastore.load_dataset(
-        os.path.join(data_dir, f"dataset.{split}.jsonl"), maps
-    )
+def _load_split(data_dir: str, split: str, maps, config: RunConfig) -> Dataset:
+    """A dataset split, rejected unless built with the run's radii."""
+    ds = datastore.load_dataset(os.path.join(data_dir, f"dataset.{split}.jsonl"), maps)
+    for name in ("fov_radius", "comm_radius"):
+        if getattr(ds, name) != getattr(config, name):
+            raise ConfigError(
+                f"{split} split was built with {name}={getattr(ds, name)}, "
+                f"run config has {getattr(config, name)}"
+            )
+    return ds
 
 
 def _cmd_train(args, config: RunConfig) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
     maps = datastore.load_maps(os.path.join(args.data_dir, "maps.jsonl"))
-    train_ds = _load_split(args.data_dir, "train", maps)
-    valid_path = os.path.join(args.data_dir, "dataset.valid.jsonl")
-    if os.path.exists(valid_path):
-        valid_ds = datastore.load_dataset(valid_path, maps)
+    train_ds = _load_split(args.data_dir, "train", maps, config)
+    if os.path.exists(os.path.join(args.data_dir, "dataset.valid.jsonl")):
+        valid_ds = _load_split(args.data_dir, "valid", maps, config)
     else:
         valid_ds = Dataset(split="valid")
+    os.makedirs(args.out_dir, exist_ok=True)
     train_records = None
     cases_path = os.path.join(args.data_dir, "cases.jsonl")
     if not args.no_oe and os.path.exists(cases_path):
@@ -376,7 +381,8 @@ def _cmd_eval(args, config: RunConfig) -> int:
         )
         plans.append(rec.plan)
     report = compute_metrics(trajectories, plans)
-    label = f"{args.policy}:{args.split}:K{config.taps}"
+    taps = net.arch.taps if net is not None else config.taps
+    label = f"{args.policy}:{args.split}:K{taps}"
     meta = _meta("eval", config)
     datastore.save_report_csv(
         os.path.join(args.out_dir, "report.csv"), [(label, report)], meta=meta
@@ -610,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("network", "expert-replay", "idle", "random"),
     )
     p.add_argument("--weights", default=None, help="model.json for --policy network")
-    _add_config_flags(p, "taps", "fov_radius", "comm_radius", "seed")
+    _add_config_flags(p, "comm_radius", "seed")
 
     p = sub("rollout", "trace a single case")
     p.add_argument("--data-dir", required=True)
@@ -622,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("network", "expert-replay", "idle", "random"),
     )
     p.add_argument("--weights", default=None)
-    _add_config_flags(p, "taps", "fov_radius", "comm_radius", "seed")
+    _add_config_flags(p, "comm_radius", "seed")
 
     p = sub("oracle-check", "compare the solver against a joint-space oracle")
     p.add_argument("--instances", type=int, default=200)

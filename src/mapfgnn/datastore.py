@@ -31,6 +31,7 @@ from .expert import Plan, cbs_solve, validate_plan
 from .gridworld import (
     DEFAULT_COMM_RADIUS,
     DEFAULT_FOV_RADIUS,
+    NUM_ACTIONS,
     Case,
     GridMap,
     build_gso,
@@ -336,6 +337,8 @@ def save_dataset(
 
 
 def load_dataset(path: str, maps: dict[str, GridMap]) -> Dataset:
+    """Samples rebuilt from stored geometry; every position and goal must be
+    a free cell of the sample's map and every label an action index."""
     header, records = _read_jsonl(path, "dataset")
     fov = int(header.get("fov_radius", DEFAULT_FOV_RADIUS))
     comm = float(header.get("comm_radius", DEFAULT_COMM_RADIUS))
@@ -344,16 +347,24 @@ def load_dataset(path: str, maps: dict[str, GridMap]) -> Dataset:
         map_id = _require(doc, "map_id", path, lineno)
         if map_id not in maps:
             raise ParseError(f"unknown map_id {map_id!r}", path=path, line=lineno)
+        grid = maps[map_id]
         positions = _cells_from_lists(_require(doc, "positions", path, lineno), path, lineno)
         goals = _cells_from_lists(_require(doc, "goals", path, lineno), path, lineno)
-        labels = np.asarray(_require(doc, "labels", path, lineno), dtype=np.int64)
-        if labels.size != len(positions):
-            raise ParseError("label count != robot count", path=path, line=lineno)
+        try:
+            labels = np.asarray(_require(doc, "labels", path, lineno), dtype=np.int64)
+        except (TypeError, ValueError):
+            raise ParseError("labels must be integers", path=path, line=lineno)
+        if not positions or not len(positions) == len(goals) == labels.size:
+            raise ParseError("robot, goal, label counts differ or are 0", path=path, line=lineno)
+        if not all(map(grid.is_free, positions + goals)):
+            raise ParseError(f"a cell is not free on {map_id!r}", path=path, line=lineno)
+        if labels.min() < 0 or labels.max() >= NUM_ACTIONS:
+            raise ParseError(f"labels must lie in [0, {NUM_ACTIONS})", path=path, line=lineno)
         samples.append(
             Sample(
                 case_id=_require(doc, "case_id", path, lineno),
                 t=int(_require(doc, "t", path, lineno)),
-                obs=team_observations(maps[map_id], positions, goals, fov).astype(np.uint8),
+                obs=team_observations(grid, positions, goals, fov).astype(np.uint8),
                 gso=build_gso(positions, comm).matrix,
                 labels=labels,
                 map_id=map_id,
@@ -361,7 +372,12 @@ def load_dataset(path: str, maps: dict[str, GridMap]) -> Dataset:
                 goals=goals,
             )
         )
-    return Dataset(split=str(header.get("split", "train")), samples=samples)
+    return Dataset(
+        split=str(header.get("split", "train")),
+        samples=samples,
+        fov_radius=fov,
+        comm_radius=comm,
+    )
 
 
 def load_dataset_case_ids(path: str) -> set[str]:
@@ -691,4 +707,6 @@ def expand_samples(
                 comm_radius=comm_radius,
             )
         )
-    return Dataset(split=split, samples=samples)
+    return Dataset(
+        split=split, samples=samples, fov_radius=fov_radius, comm_radius=comm_radius
+    )

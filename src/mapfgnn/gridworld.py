@@ -1,4 +1,4 @@
-"""Discrete environment: maps, cases, local observations, communication graph.
+"""Discrete environment: maps, cases, team observations, communication graph.
 
 Coordinate convention: x grows rightward, y grows downward. Cells are (x, y)
 integer pairs. Actions are indexed (idle, up, left, down, right) with unit
@@ -83,28 +83,10 @@ class Case:
 
 
 @dataclass(frozen=True)
-class LocalObservation:
-    """3-channel binary window centered on one robot.
-
-    Channel 0: obstacles (cells beyond the map border count as obstacles).
-    Channel 1: goal position, clamped componentwise into the window.
-    Channel 2: self at the center plus any other robot inside the window.
-    """
-
-    channels: np.ndarray
-    fov_radius: int
-
-    @property
-    def window(self) -> int:
-        return 2 * self.fov_radius + 1
-
-
-@dataclass(frozen=True)
 class Gso:
     """Normalized communication adjacency over the team at one instant."""
 
     matrix: np.ndarray
-    comm_radius: float
 
 
 @dataclass(frozen=True)
@@ -205,73 +187,61 @@ def generate_case(
     )
 
 
-def build_local_observation(
-    grid: GridMap,
-    positions: list[Cell] | tuple[Cell, ...],
-    goals: list[Cell] | tuple[Cell, ...],
-    robot: int,
-    fov_radius: int = DEFAULT_FOV_RADIUS,
-) -> LocalObservation:
-    """Egocentric 3-channel window for one robot (see LocalObservation)."""
-    r = fov_radius
-    w = 2 * r + 1
-    channels = np.zeros((3, w, w), dtype=np.float64)
-    x0, y0 = positions[robot]
-
-    for dy in range(-r, r + 1):
-        for dx in range(-r, r + 1):
-            cell = (x0 + dx, y0 + dy)
-            if not grid.in_bounds(cell) or cell in grid.obstacles:
-                channels[0, dy + r, dx + r] = 1.0
-
-    gx, gy = goals[robot]
-    rel_x = min(max(gx - x0, -r), r)
-    rel_y = min(max(gy - y0, -r), r)
-    channels[1, rel_y + r, rel_x + r] = 1.0
-
-    channels[2, r, r] = 1.0
-    for j, (px, py) in enumerate(positions):
-        if j == robot:
-            continue
-        dx, dy = px - x0, py - y0
-        if abs(dx) <= r and abs(dy) <= r:
-            channels[2, dy + r, dx + r] = 1.0
-
-    return LocalObservation(channels=channels, fov_radius=r)
-
-
 def team_observations(
     grid: GridMap,
     positions,
     goals,
     fov_radius: int = DEFAULT_FOV_RADIUS,
 ) -> np.ndarray:
-    """Stacked observation tensor (N, 3, window, window) for the whole team."""
-    obs = [
-        build_local_observation(grid, positions, goals, i, fov_radius).channels
-        for i in range(len(positions))
+    """Egocentric 3-channel windows (N, 3, W, W), W = 2 * fov_radius + 1.
+
+    Channel 0: obstacles (cells beyond the map border count as obstacles).
+    Channel 1: goal position, clamped componentwise into the window.
+    Channel 2: self at the center plus any other robot inside the window.
+    Positions must be cells of the map.
+    """
+    r = fov_radius
+    w = 2 * r + 1
+    pos = np.asarray(positions, dtype=np.int64).reshape(-1, 2)
+    goal = np.asarray(goals, dtype=np.int64).reshape(-1, 2)
+    n = len(pos)
+    # cell (x, y) sits at padded[y + r, x + r], so window row i of a robot at
+    # (x0, y0) is padded row y0 + i
+    padded = np.ones((grid.height + 2 * r, grid.width + 2 * r))
+    padded[r : r + grid.height, r : r + grid.width] = 0.0
+    if grid.obstacles:
+        ox, oy = np.array(list(grid.obstacles)).T
+        padded[oy + r, ox + r] = 1.0
+    offs = np.arange(w)
+    obs = np.zeros((n, 3, w, w))
+    obs[:, 0] = padded[
+        pos[:, 1, None, None] + offs[:, None], pos[:, 0, None, None] + offs
     ]
-    return np.stack(obs, axis=0)
+    rel = np.clip(goal - pos, -r, r) + r
+    obs[np.arange(n), 1, rel[:, 1], rel[:, 0]] = 1.0
+    # offset of robot j seen from robot i; the diagonal puts self at the center
+    delta = pos[None, :, :] - pos[:, None, :]
+    seer, seen = np.nonzero((np.abs(delta) <= r).all(axis=-1))
+    obs[seer, 2, delta[seer, seen, 1] + r, delta[seer, seen, 0] + r] = 1.0
+    return obs
 
 
 def build_gso(positions, comm_radius: float = DEFAULT_COMM_RADIUS) -> Gso:
     """Communication matrix: binary adjacency on the Euclidean distance rule,
     divided by its largest-magnitude eigenvalue when any edge exists."""
-    n = len(positions)
-    if n < 1:
+    pos = np.asarray(positions, dtype=np.int64).reshape(-1, 2)
+    if len(pos) < 1:
         raise ValueError("need at least one robot")
-    mat = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        xi, yi = positions[i]
-        for j in range(i + 1, n):
-            xj, yj = positions[j]
-            if math.hypot(xi - xj, yi - yj) <= comm_radius:
-                mat[i, j] = 1.0
-                mat[j, i] = 1.0
+    delta = pos[:, None, :] - pos[None, :, :]
+    # sqrt of the exact integer sum is correctly rounded; np.hypot is not, and
+    # at e.g. (17, 27) it lands on the other side of a radius of that length
+    dist = np.sqrt((delta * delta).sum(axis=-1))
+    mat = (dist <= comm_radius).astype(np.float64)
+    np.fill_diagonal(mat, 0.0)
     if mat.any():
         lam = np.abs(np.linalg.eigvalsh(mat)).max()
         mat = mat / lam
-    return Gso(matrix=mat, comm_radius=comm_radius)
+    return Gso(matrix=mat)
 
 
 def step_positions(grid: GridMap, positions, actions) -> list[Cell]:

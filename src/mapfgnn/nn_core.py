@@ -258,16 +258,18 @@ class Linear:
         return []
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        if x.ndim != 2 or x.shape[1] != self.weight.shape[1]:
+        """Affine map over the last axis of (..., n_in) input."""
+        if x.ndim < 2 or x.shape[-1] != self.weight.shape[1]:
             raise ShapeMismatch(
-                f"linear expects (B,{self.weight.shape[1]}), got {x.shape}"
+                f"linear expects (...,{self.weight.shape[1]}), got {x.shape}"
             )
         self._x = x
         return x @ self.weight.T + self.bias
 
     def backward(self, gout: np.ndarray) -> np.ndarray:
-        self.gweight += gout.T @ self._x
-        self.gbias += gout.sum(axis=0)
+        rows = gout.reshape(-1, gout.shape[-1])
+        self.gweight += rows.T @ self._x.reshape(-1, self._x.shape[-1])
+        self.gbias += rows.sum(axis=0)
         return gout @ self.weight
 
 
@@ -276,7 +278,8 @@ class GraphFilter:
 
     Powers of S are applied iteratively (one neighborhood exchange per tap),
     so tap k only mixes information from within k hops. S itself is constant
-    data, not a parameter.
+    data, not a parameter. Leading batch axes are allowed: (B,N,F) features
+    pair with (B,N,N) shift operators, one team per batch entry.
     """
 
     def __init__(self, f_in: int, g_out: int, taps: int, rng: np.random.Generator):
@@ -286,10 +289,6 @@ class GraphFilter:
         self.gtaps = np.zeros_like(self.taps)
         self._cache = None
 
-    @property
-    def num_taps(self) -> int:
-        return self.taps.shape[0]
-
     def parameters(self):
         return [("taps", self.taps, self.gtaps)]
 
@@ -298,11 +297,11 @@ class GraphFilter:
 
     def forward(self, x: np.ndarray, s: np.ndarray, train: bool = True) -> np.ndarray:
         k, f_in, _ = self.taps.shape
-        if x.ndim != 2 or x.shape[1] != f_in:
-            raise ShapeMismatch(f"graph_filter expects (N,{f_in}), got {x.shape}")
-        if s.shape != (x.shape[0], x.shape[0]):
+        if x.ndim < 2 or x.shape[-1] != f_in:
+            raise ShapeMismatch(f"graph_filter expects (...,N,{f_in}), got {x.shape}")
+        if s.shape != x.shape[:-1] + x.shape[-2:-1]:
             raise ShapeMismatch(
-                f"shift operator {s.shape} does not match {x.shape[0]} nodes"
+                f"shift operator {s.shape} does not match features {x.shape}"
             )
         shifted = [x]
         for _ in range(1, k):
@@ -315,12 +314,14 @@ class GraphFilter:
 
     def backward(self, gout: np.ndarray) -> np.ndarray:
         shifted, s = self._cache
-        k = self.taps.shape[0]
+        k, f_in, g_out = self.taps.shape
+        grows = gout.reshape(-1, g_out)
         for i in range(k):
-            self.gtaps[i] += shifted[i].T @ gout
+            self.gtaps[i] += shifted[i].reshape(-1, f_in).T @ grows
+        s_t = np.swapaxes(s, -1, -2)
         gx = gout @ self.taps[k - 1].T
         for i in range(k - 2, -1, -1):
-            gx = s.T @ gx + gout @ self.taps[i].T
+            gx = s_t @ gx + gout @ self.taps[i].T
         return gx
 
 

@@ -113,7 +113,8 @@ class PolicyNetwork:
     def head_forward(
         self, features: np.ndarray, gso: np.ndarray, train: bool = False
     ) -> np.ndarray:
-        """Graph filter + relu + linear over one team; returns logits (N, 5)."""
+        """Graph filter + relu + linear; (..., N, F) features and (..., N, N)
+        shift operators give (..., N, 5) logits, one team per leading index."""
         x = self.gnn.forward(features, gso, train)
         x = self.gnn_relu.forward(x, train)
         return self.head.forward(x, train)
@@ -127,15 +128,7 @@ class PolicyNetwork:
         self, obs: np.ndarray, gso: np.ndarray, train: bool = False
     ) -> np.ndarray:
         """Team logits (N, 5) for stacked observations (N, 3, W, W)."""
-        if obs.shape[0] != gso.shape[0]:
-            raise ShapeMismatch(
-                f"{obs.shape[0]} observations vs {gso.shape[0]}-node shift operator"
-            )
         return self.head_forward(self.encode(obs, train), gso, train)
-
-    def encode_observation(self, channels: np.ndarray) -> np.ndarray:
-        """Feature vector for a single robot's observation tensor."""
-        return self.encode(channels[None], train=False)[0]
 
     def to_jsonable(self) -> dict:
         return {

@@ -3,9 +3,10 @@ online-expert dataset aggregation.
 
 A sample is one timestep of one case: the team's observations, the
 communication matrix, and the expert's actions. Batches mix timesteps across
-cases; the CNN runs once over every robot in the batch while the graph
-filter runs per sample (team sizes differ). Gradient reductions follow a
-fixed order so identical seeds give bit-identical runs.
+cases; the CNN runs once over every robot in the batch, and the graph filter
+and action head run once per team size present, on that size's samples
+stacked along a batch axis. Gradient reductions follow a fixed order so
+identical seeds give bit-identical runs.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .executor import NetworkPolicy, rollout
 from .expert import Plan, cbs_solve, plan_to_labels, positions_at
 from .gridworld import (
     DEFAULT_COMM_RADIUS,
+    DEFAULT_FOV_RADIUS,
     Case,
     GridMap,
     build_gso,
@@ -81,8 +83,12 @@ class Sample:
 
 @dataclass
 class Dataset:
+    """Samples of one split plus the radii their tensors were built with."""
+
     split: str
     samples: list[Sample] = field(default_factory=list)
+    fov_radius: int = DEFAULT_FOV_RADIUS
+    comm_radius: float = DEFAULT_COMM_RADIUS
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -167,26 +173,38 @@ def adam_step(store, adam: AdamState, lr: float, config: TrainConfig) -> None:
         p -= lr * (m / bc1) / (np.sqrt(v / bc2) + config.eps)
 
 
-def _batch_forward(net: PolicyNetwork, batch, train: bool):
-    """Concatenated logits over every robot row in the batch, plus caches."""
+def _batch_pass(net: PolicyNetwork, batch, train: bool):
+    """Summed loss, correct count and row count over one batch of samples.
+
+    The head runs once per team size on that size's samples stacked; in train
+    mode each size's head backward runs before the next size's forward, since
+    layers cache only their latest call, then the CNN backward runs once.
+    """
     obs = np.concatenate([s.obs for s in batch]).astype(np.float64)
     feats = net.encode(obs, train)
-    logits = np.empty((feats.shape[0], net.arch.num_actions))
-    offset = 0
-    for s in batch:
-        sl = slice(offset, offset + s.num_robots)
-        logits[sl] = net.head_forward(feats[sl], s.gso, train)
-        offset += s.num_robots
-    return feats, logits
-
-
-def _batch_stats(logits, batch):
-    labels = np.concatenate([s.labels for s in batch])
-    logp = log_softmax(logits)
-    onehot = one_hot(labels, logits.shape[1])
-    loss_sum = -(onehot * logp).sum()
-    correct = int((logits.argmax(axis=1) == labels).sum())
-    return loss_sum, correct, logp, onehot
+    rows = feats.shape[0]
+    sizes = np.array([s.num_robots for s in batch])
+    row_sizes = np.repeat(sizes, sizes)
+    gfeat = np.empty_like(feats)
+    loss_sum = 0.0
+    correct = 0
+    for n in dict.fromkeys(sizes.tolist()):
+        team = [s for s in batch if s.num_robots == n]
+        idx = np.flatnonzero(row_sizes == n)
+        gso = np.stack([s.gso for s in team])
+        labels = np.stack([s.labels for s in team])
+        logits = net.head_forward(feats[idx].reshape(len(team), n, -1), gso, train)
+        logp = log_softmax(logits)
+        onehot = one_hot(labels, logits.shape[-1])
+        loss_sum += -(onehot * logp).sum()
+        correct += int((logits.argmax(axis=-1) == labels).sum())
+        if train:
+            # every row of the batch contributes 1/rows to the mean loss
+            glogits = (np.exp(logp) - onehot) / rows
+            gfeat[idx] = net.head_backward(glogits).reshape(idx.size, -1)
+    if train:
+        net.encode_backward(gfeat)
+    return loss_sum, correct, rows
 
 
 def train_epoch(
@@ -203,24 +221,11 @@ def train_epoch(
     rows_total = 0
     for lo in range(0, len(order), config.batch_size):
         batch = [dataset.samples[i] for i in order[lo : lo + config.batch_size]]
-        rows = sum(s.num_robots for s in batch)
         net.store.zero_grads()
-        obs = np.concatenate([s.obs for s in batch]).astype(np.float64)
-        feats = net.encode(obs, train=True)
-        gfeat = np.empty_like(feats)
-        offset = 0
-        for s in batch:
-            sl = slice(offset, offset + s.num_robots)
-            logits = net.head_forward(feats[sl], s.gso, train=True)
-            logp = log_softmax(logits)
-            onehot = one_hot(s.labels, logits.shape[1])
-            loss_total += -(onehot * logp).sum()
-            correct_total += int((logits.argmax(axis=1) == s.labels).sum())
-            # every row of the batch contributes 1/rows to the mean loss
-            gfeat[sl] = net.head_backward((np.exp(logp) - onehot) / rows)
-            offset += s.num_robots
-        net.encode_backward(gfeat)
+        loss_sum, correct, rows = _batch_pass(net, batch, train=True)
         adam_step(net.store, adam, lr, config)
+        loss_total += loss_sum
+        correct_total += correct
         rows_total += rows
     return loss_total / rows_total, correct_total / rows_total
 
@@ -234,11 +239,10 @@ def evaluate(net: PolicyNetwork, dataset: Dataset, config: TrainConfig):
     rows_total = 0
     for lo in range(0, len(dataset.samples), config.batch_size):
         batch = dataset.samples[lo : lo + config.batch_size]
-        _, logits = _batch_forward(net, batch, train=False)
-        loss_sum, correct, _, _ = _batch_stats(logits, batch)
+        loss_sum, correct, rows = _batch_pass(net, batch, train=False)
         loss_total += loss_sum
         correct_total += correct
-        rows_total += logits.shape[0]
+        rows_total += rows
     return loss_total / rows_total, correct_total / rows_total
 
 

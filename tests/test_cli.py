@@ -113,6 +113,13 @@ class TestResolveConfig:
         with pytest.raises(SystemExit):
             parse(["train", "--data-dir", "d", "--out-dir", "o", "--workers", "2"])
 
+    @pytest.mark.parametrize("command", ["eval", "rollout"])
+    @pytest.mark.parametrize("flag", ["--k", "--fov-radius"])
+    def test_eval_and_rollout_reject_arch_flags(self, command, flag, capsys):
+        out = "--out-dir" if command == "eval" else "--out"
+        with pytest.raises(SystemExit):
+            parse([command, "--data-dir", "d", out, "o", flag, "2"])
+
 
 class TestExitCodes:
     def test_no_command_is_config_error(self, capsys):
@@ -232,10 +239,24 @@ class TestTrainEvalRollout:
         rc = main(["eval", "--data-dir", str(data_dir), "--out-dir", str(out_dir),
                    "--split", "valid", "--policy", "network",
                    "--weights", str(run_dir / "model.json"),
-                   "--config", config, "--k", "2"])
+                   "--config", config])
         assert rc == 0
         _, _, rows = read_csv(str(out_dir / "report.csv"), "report")
         assert 0.0 <= float(rows[0]["alpha"]) <= 1.0
+        # K comes from the weights, which were trained with --k 2
+        assert rows[0]["label"] == "network:valid:K2"
+
+    @pytest.mark.parametrize(
+        "flags", [["--fov-radius", "3"], ["--comm-radius", "2", "--oe-interval", "1"]]
+    )
+    def test_train_rejects_radii_other_than_the_dataset(self, workspace, flags, capsys):
+        tmp_path, data_dir, _, config = workspace
+        run_dir = tmp_path / "run_radius"
+        rc = main(["train", "--data-dir", str(data_dir), "--out-dir", str(run_dir),
+                   "--config", config, "--epochs", "2"] + flags)
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
+        assert not (run_dir / "model.json").exists()
 
     def test_rollout_writes_trace(self, workspace):
         tmp_path, data_dir, _, _ = workspace

@@ -227,6 +227,48 @@ class TestDatasetFile:
         with pytest.raises(ParseError):
             load_dataset(str(p), maps)
 
+    @pytest.mark.parametrize(
+        "rule",
+        ["goals_short", "position_off_map", "goal_off_map", "position_on_obstacle",
+         "label_too_large", "label_negative", "label_not_integer"],
+    )
+    def test_bad_geometry_rejected(self, tmp_path, rule):
+        maps, pool, _ = small_pool()
+        ds = expand_samples(pool[:1], maps)
+        p = tmp_path / "dataset.train.jsonl"
+        save_dataset(str(p), ds)
+        lines = p.read_text().splitlines()
+        doc = json.loads(lines[1])
+        grid = maps[doc["map_id"]]
+        if rule == "goals_short":
+            doc["goals"] = doc["goals"][:-1]
+        elif rule == "position_off_map":
+            doc["positions"][0] = [-3, 0]
+        elif rule == "goal_off_map":
+            doc["goals"][0] = [grid.width, 0]
+        elif rule == "position_on_obstacle":
+            doc["positions"][0] = list(min(grid.obstacles))
+        elif rule == "label_too_large":
+            doc["labels"][0] = 5
+        elif rule == "label_negative":
+            doc["labels"][0] = -1
+        else:
+            doc["labels"][0] = "x"
+        lines[1] = json.dumps(doc)
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError):
+            load_dataset(str(p), maps)
+
+    def test_header_radii_carried_on_the_dataset(self, tmp_path):
+        maps, pool, _ = small_pool()
+        ds = expand_samples(pool[:1], maps, fov_radius=2, comm_radius=3.0)
+        assert (ds.fov_radius, ds.comm_radius) == (2, 3.0)
+        p = tmp_path / "dataset.train.jsonl"
+        save_dataset(str(p), ds, fov_radius=2, comm_radius=3.0)
+        back = load_dataset(str(p), maps)
+        assert (back.fov_radius, back.comm_radius) == (2, 3.0)
+        assert back.samples[0].obs.shape[-1] == 5
+
     def test_split_files_share_no_case_ids(self, tmp_path):
         maps, pool, _ = small_pool()
         train, valid, test = split_dataset(pool, ratios=(0.4, 0.3, 0.3), seed=5)

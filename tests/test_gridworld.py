@@ -11,7 +11,6 @@ from mapfgnn.gridworld import (
     DensitySpec,
     GridMap,
     build_gso,
-    build_local_observation,
     generate_case,
     generate_map,
     step_positions,
@@ -21,6 +20,49 @@ from mapfgnn.gridworld import (
 
 def empty_map(w, h):
     return GridMap(w, h, frozenset())
+
+
+def scalar_observation(grid, positions, goals, robot, fov_radius=4):
+    """Reference: one robot's window built cell by cell."""
+    r = fov_radius
+    w = 2 * r + 1
+    channels = np.zeros((3, w, w), dtype=np.float64)
+    x0, y0 = positions[robot]
+    for dy in range(-r, r + 1):
+        for dx in range(-r, r + 1):
+            cell = (x0 + dx, y0 + dy)
+            if not grid.in_bounds(cell) or cell in grid.obstacles:
+                channels[0, dy + r, dx + r] = 1.0
+    gx, gy = goals[robot]
+    rel_x = min(max(gx - x0, -r), r)
+    rel_y = min(max(gy - y0, -r), r)
+    channels[1, rel_y + r, rel_x + r] = 1.0
+    channels[2, r, r] = 1.0
+    for j, (px, py) in enumerate(positions):
+        if j == robot:
+            continue
+        dx, dy = px - x0, py - y0
+        if abs(dx) <= r and abs(dy) <= r:
+            channels[2, dy + r, dx + r] = 1.0
+    return channels
+
+
+def scalar_gso(positions, comm_radius):
+    """Reference: pairwise loop on math.hypot, then spectral normalization."""
+    n = len(positions)
+    mat = np.zeros((n, n), dtype=np.float64)
+    for i in range(n):
+        for j in range(i + 1, n):
+            (xi, yi), (xj, yj) = positions[i], positions[j]
+            if math.hypot(xi - xj, yi - yj) <= comm_radius:
+                mat[i, j] = mat[j, i] = 1.0
+    if mat.any():
+        mat = mat / np.abs(np.linalg.eigvalsh(mat)).max()
+    return mat
+
+
+def observe(grid, positions, goals, robot, fov_radius=4):
+    return team_observations(grid, positions, goals, fov_radius)[robot]
 
 
 class TestGenerateMap:
@@ -93,53 +135,53 @@ class TestGenerateCase:
 class TestLocalObservation:
     def test_goal_in_view_relative_placement(self):
         m = empty_map(20, 20)
-        obs = build_local_observation(m, [(5, 5)], [(6, 5)], 0, fov_radius=4)
-        goal_chan = obs.channels[1]
+        obs = observe(m, [(5, 5)], [(6, 5)], 0, fov_radius=4)
+        goal_chan = obs[1]
         assert goal_chan[4, 5] == 1.0
         assert goal_chan.sum() == 1.0
-        assert obs.channels[2][4, 4] == 1.0
+        assert obs[2][4, 4] == 1.0
 
     def test_goal_out_of_view_clamped_componentwise(self):
         m = empty_map(60, 60)
-        obs = build_local_observation(m, [(5, 5)], [(5, 50)], 0, fov_radius=4)
-        goal_chan = obs.channels[1]
+        obs = observe(m, [(5, 5)], [(5, 50)], 0, fov_radius=4)
+        goal_chan = obs[1]
         # straight down, clamped to relative (0, +4)
         assert goal_chan[8, 4] == 1.0
         assert goal_chan.sum() == 1.0
 
     def test_interior_no_obstacles_channel_zero(self):
         m = empty_map(20, 20)
-        obs = build_local_observation(m, [(10, 10)], [(11, 10)], 0, fov_radius=4)
-        assert not obs.channels[0].any()
+        obs = observe(m, [(10, 10)], [(11, 10)], 0, fov_radius=4)
+        assert not obs[0].any()
 
     def test_border_padding_marked_as_obstacle(self):
         m = empty_map(20, 20)
-        obs = build_local_observation(m, [(0, 0)], [(1, 1)], 0, fov_radius=4)
+        obs = observe(m, [(0, 0)], [(1, 1)], 0, fov_radius=4)
         # everything left of / above the map reads as an obstacle
-        assert obs.channels[0][:, :4].all()
-        assert obs.channels[0][:4, :].all()
-        assert not obs.channels[0][4:, 4:].any()
+        assert obs[0][:, :4].all()
+        assert obs[0][:4, :].all()
+        assert not obs[0][4:, 4:].any()
 
     def test_real_obstacle_appears(self):
         m = GridMap(9, 9, frozenset({(5, 4)}))
-        obs = build_local_observation(m, [(4, 4)], [(0, 0)], 0, fov_radius=4)
-        assert obs.channels[0][4, 5] == 1.0
+        obs = observe(m, [(4, 4)], [(0, 0)], 0, fov_radius=4)
+        assert obs[0][4, 5] == 1.0
 
     def test_other_robots_inside_fov_only(self):
         m = empty_map(30, 30)
         positions = [(10, 10), (12, 10), (10, 20)]
         goals = [(0, 0)] * 3
-        obs = build_local_observation(m, positions, goals, 0, fov_radius=4)
-        self_chan = obs.channels[2]
+        obs = observe(m, positions, goals, 0, fov_radius=4)
+        self_chan = obs[2]
         assert self_chan[4, 4] == 1.0
         assert self_chan[4, 6] == 1.0
         assert self_chan.sum() == 2.0
 
     def test_window_shape(self):
         m = empty_map(20, 20)
-        obs = build_local_observation(m, [(5, 5)], [(6, 5)], 0, fov_radius=4)
-        assert obs.channels.shape == (3, 9, 9)
-        assert obs.window == 9
+        obs = team_observations(m, [(5, 5)], [(6, 5)], fov_radius=4)
+        assert obs.shape == (1, 3, 9, 9)
+        assert obs.dtype == np.float64
 
     @given(
         x=st.integers(0, 19),
@@ -150,16 +192,38 @@ class TestLocalObservation:
     @settings(max_examples=60, deadline=None)
     def test_goal_channel_always_single_one(self, x, y, gx, gy):
         m = empty_map(20, 20)
-        obs = build_local_observation(m, [(x, y)], [(gx, gy)], 0, fov_radius=4)
-        assert obs.channels[1].sum() == 1.0
-        assert obs.channels[2][4, 4] == 1.0
+        obs = observe(m, [(x, y)], [(gx, gy)], 0, fov_radius=4)
+        assert obs[1].sum() == 1.0
+        assert obs[2][4, 4] == 1.0
 
     def test_team_observations_stack(self):
         m = empty_map(10, 10)
-        stacked = team_observations(m, [(1, 1), (8, 8)], [(2, 2), (7, 7)])
+        positions, goals = [(1, 1), (8, 8)], [(2, 2), (7, 7)]
+        stacked = team_observations(m, positions, goals)
         assert stacked.shape == (2, 3, 9, 9)
-        single = build_local_observation(m, [(1, 1), (8, 8)], [(2, 2), (7, 7)], 1)
-        assert np.array_equal(stacked[1], single.channels)
+        for i in range(2):
+            assert np.array_equal(stacked[i], scalar_observation(m, positions, goals, i))
+
+    @given(
+        width=st.integers(2, 14),
+        height=st.integers(2, 14),
+        fov=st.integers(1, 4),
+        density=st.floats(0.0, 0.5),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scalar_reference(self, width, height, fov, density, data):
+        m = generate_map(width, height, density, seed=width * 100 + height)
+        free = m.free_cells()
+        n = data.draw(st.integers(1, min(6, len(free))))
+        picks = data.draw(st.permutations(range(len(free))))[:n]
+        positions = [free[i] for i in picks]
+        goals = data.draw(st.lists(st.sampled_from(free), min_size=n, max_size=n))
+        stacked = team_observations(m, positions, goals, fov)
+        assert stacked.dtype == np.float64
+        for i in range(n):
+            ref = scalar_observation(m, positions, goals, i, fov)
+            assert np.array_equal(stacked[i], ref)
 
 
 class TestGso:
@@ -178,6 +242,22 @@ class TestGso:
     def test_boundary_distance_counts(self):
         gso = build_gso([(0, 0), (3, 4)], comm_radius=5.0)
         assert gso.matrix[0, 1] == 1.0
+        # np.hypot(17, 27) rounds above math.hypot(17, 27) and drops this edge
+        gso = build_gso([(0, 0), (17, 27)], comm_radius=math.hypot(17, 27))
+        assert gso.matrix[0, 1] == 1.0
+
+    @given(
+        pts=st.lists(
+            st.tuples(st.integers(-30, 30), st.integers(-30, 30)), min_size=1, max_size=8
+        ),
+        radius=st.one_of(
+            st.floats(0.5, 40.0),
+            st.builds(math.hypot, st.integers(1, 30), st.integers(0, 30)),
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_scalar_reference(self, pts, radius):
+        assert np.array_equal(build_gso(pts, radius).matrix, scalar_gso(pts, radius))
 
     def test_spectral_radius_bounded(self):
         rng = np.random.default_rng(0)

@@ -200,21 +200,23 @@ class TestLinear:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(12)
         lin = Linear(5, 4, rng)
-        x = rng.normal(size=(3, 5))
-        coef = rng.normal(size=(3, 4))
+        # (rows, features) and (teams, rows, features) take the same code path
+        for lead in ((3,), (2, 3)):
+            x = rng.normal(size=lead + (5,))
+            coef = rng.normal(size=lead + (4,))
 
-        def run():
-            lin.gweight[...] = 0.0
-            lin.gbias[...] = 0.0
-            out = lin.forward(x)
-            gin = lin.backward(coef)
-            return (out * coef).sum(), [
-                gin.copy(),
-                lin.gweight.copy(),
-                lin.gbias.copy(),
-            ]
+            def run():
+                lin.gweight[...] = 0.0
+                lin.gbias[...] = 0.0
+                out = lin.forward(x)
+                gin = lin.backward(coef)
+                return (out * coef).sum(), [
+                    gin.copy(),
+                    lin.gweight.copy(),
+                    lin.gbias.copy(),
+                ]
 
-        assert gradient_check(run, [x, lin.weight, lin.bias]) < 1e-6
+            assert gradient_check(run, [x, lin.weight, lin.bias]) < 1e-6
 
 
 class TestGraphFilter:
@@ -259,12 +261,30 @@ class TestGraphFilter:
 
         assert gradient_check(run, [x, gf.taps]) < 1e-6
 
+        # three teams stacked along a batch axis: (B,N,F) features, (B,N,N) shifts
+        xb = rng.normal(size=(3, 5, 3))
+        sb = np.stack([s, np.zeros((5, 5)), s[::-1, ::-1]])
+        coefb = rng.normal(size=(3, 5, 2))
+        stacked = gf.forward(xb, sb)
+        for b in range(3):
+            assert np.allclose(stacked[b], gf.forward(xb[b], sb[b]), rtol=0, atol=1e-12)
+
+        def run_stacked():
+            gf.gtaps[...] = 0.0
+            out = gf.forward(xb, sb)
+            gin = gf.backward(coefb)
+            return (out * coefb).sum(), [gin.copy(), gf.gtaps.copy()]
+
+        assert gradient_check(run_stacked, [xb, gf.taps]) < 1e-6
+
     def test_shape_mismatch_raises(self):
         gf = GraphFilter(3, 2, 2, np.random.default_rng(17))
         with pytest.raises(ShapeMismatch):
             gf.forward(np.zeros((4, 5)), np.zeros((4, 4)))
         with pytest.raises(ShapeMismatch):
             gf.forward(np.zeros((4, 3)), np.zeros((3, 3)))
+        with pytest.raises(ShapeMismatch):
+            gf.forward(np.zeros((2, 4, 3)), np.zeros((4, 4)))
 
 
 class TestSoftmaxLoss:

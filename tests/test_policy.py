@@ -43,11 +43,11 @@ class TestArchitecture:
         feats = net.encode(both)
         assert np.array_equal(feats[0], feats[1])
 
-    def test_single_observation_helper(self):
+    def test_eval_rows_encode_independently(self):
         net = PolicyNetwork(TINY, seed=0)
         rng = np.random.default_rng(3)
         obs = random_obs(rng, 2)
-        assert np.array_equal(net.encode_observation(obs[0]), net.encode(obs)[0])
+        assert np.array_equal(net.encode(obs[:1])[0], net.encode(obs)[0])
 
     def test_rejects_wrong_window(self):
         net = PolicyNetwork(seed=0)

@@ -7,11 +7,13 @@ from mapfgnn.errors import NonFiniteGradient
 from mapfgnn.executor import IdlePolicy, PlanReplayPolicy
 from mapfgnn.expert import cbs_solve
 from mapfgnn.gridworld import build_gso, generate_case, generate_map
+from mapfgnn.nn_core import log_softmax, one_hot
 from mapfgnn.policy import PolicyArch, PolicyNetwork
 from mapfgnn.training import (
     AdamState,
     Dataset,
     TrainConfig,
+    _batch_pass,
     adam_step,
     aggregate_online_expert,
     cosine_lr,
@@ -264,6 +266,71 @@ class TestEvaluate:
         net = PolicyNetwork(TINY, seed=0)
         loss, acc = evaluate(net, Dataset("valid"), TrainConfig())
         assert math.isnan(loss) and math.isnan(acc)
+
+
+def mixed_team_batch():
+    """Interleaved samples of 2- and 3-robot teams on one map."""
+    maps, two = solved_pool(num_cases=2, robots=2, seed=10)
+    _, three = solved_pool(num_cases=2, robots=3, seed=10)
+    small = dataset_from(two, maps).samples
+    large = dataset_from(three, maps).samples
+    batch = [s for pair in zip(small, large) for s in pair]
+    return batch + small[len(large) :] + large[len(small) :]
+
+
+def count_head_calls(net):
+    calls = []
+    head_forward = net.head_forward
+
+    def counted(features, gso, train=False):
+        calls.append(features.shape)
+        return head_forward(features, gso, train)
+
+    net.head_forward = counted
+    return calls
+
+
+class TestMixedTeamSizes:
+    def test_evaluate_matches_per_team_forward(self):
+        batch = mixed_team_batch()
+        net = PolicyNetwork(TINY, seed=5)
+        loss_sum, correct, rows = 0.0, 0, 0
+        for s in batch:
+            logits = net.forward(s.obs.astype(np.float64), s.gso)
+            loss_sum -= log_softmax(logits)[np.arange(s.num_robots), s.labels].sum()
+            correct += int((logits.argmax(axis=1) == s.labels).sum())
+            rows += s.num_robots
+        calls = count_head_calls(net)
+        loss, acc = evaluate(net, Dataset("valid", batch), TrainConfig(batch_size=len(batch)))
+        assert sorted(shape[1] for shape in calls) == [2, 3]
+        assert loss == pytest.approx(loss_sum / rows, rel=0, abs=1e-12)
+        assert acc == correct / rows
+
+    def test_train_gradients_match_per_team_backward(self):
+        batch = mixed_team_batch()
+        rows = sum(s.num_robots for s in batch)
+        ref = PolicyNetwork(TINY, seed=6)
+        ref.store.zero_grads()
+        feats = ref.encode(np.concatenate([s.obs for s in batch]).astype(np.float64), True)
+        gfeat = np.empty_like(feats)
+        loss_sum, offset = 0.0, 0
+        for s in batch:
+            sl = slice(offset, offset + s.num_robots)
+            logp = log_softmax(ref.head_forward(feats[sl], s.gso, train=True))
+            onehot = one_hot(s.labels, logp.shape[1])
+            loss_sum -= (onehot * logp).sum()
+            gfeat[sl] = ref.head_backward((np.exp(logp) - onehot) / rows)
+            offset += s.num_robots
+        ref.encode_backward(gfeat)
+
+        net = PolicyNetwork(TINY, seed=6)
+        net.store.zero_grads()
+        calls = count_head_calls(net)
+        got_loss, _, got_rows = _batch_pass(net, batch, train=True)
+        assert len(calls) == 2 and got_rows == rows
+        assert got_loss == pytest.approx(loss_sum, rel=1e-12)
+        for name, grad in ref.store.grads.items():
+            assert np.allclose(net.store.grads[name], grad, rtol=1e-12, atol=1e-12), name
 
 
 class TestOnlineExpert:
