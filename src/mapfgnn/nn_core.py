@@ -83,8 +83,37 @@ class ParamStore:
             arr[...] = np.asarray(entry["values"], dtype=np.float64).reshape(arr.shape)
 
 
+def _tap_matrix(h: int, w: int) -> np.ndarray:
+    """0/1 matrix (9, h*w*h*w) from 3x3 taps to (input cell, output cell) pairs.
+
+    Column (yi, xi, yo, xo) holds a single 1 at tap (yi-yo+1, xi-xo+1) when
+    input cell (yi, xi) lies in output cell (yo, xo)'s window, and is all
+    zeros otherwise. Multiplying by it moves each weight without rounding.
+    """
+    yi, xi, yo, xo = np.indices((h, w, h, w)).reshape(4, -1)
+    ky, kx = yi - yo + 1, xi - xo + 1
+    pairs = np.flatnonzero((ky >= 0) & (ky < 3) & (kx >= 0) & (kx < 3))
+    taps = np.zeros((9, h * w * h * w))
+    taps[ky[pairs] * 3 + kx[pairs], pairs] = 1.0
+    return taps
+
+
 class Conv2d:
-    """3x3 cross-correlation, stride 1, zero padding 1; spatial size preserved."""
+    """3x3 cross-correlation, stride 1, zero padding 1; spatial size preserved.
+
+    The path follows the input's spatial size. A map with at least as many
+    cells as the kernel has taps (h*w >= 9) runs im2col: every cell's
+    zero-padded 3x3 neighbourhood becomes one row of a GEMM with the weight.
+    On a smaller map most of those taps would multiply padding, so the
+    weight is unrolled instead into a (c*h*w, c_out*h*w) matrix holding only
+    the taps that land on real cells (on a 1x1 map, just the centre tap) and
+    the flattened input takes one GEMM with it; backward folds the unrolled
+    gradient back onto the 3x3 taps.
+
+    With needs_input_grad False (a layer whose input is data rather than an
+    activation), backward accumulates the parameter gradients only and
+    returns None.
+    """
 
     def __init__(self, c_in: int, c_out: int, rng: np.random.Generator):
         fan_in = c_in * 9
@@ -92,6 +121,7 @@ class Conv2d:
         self.bias = uniform_init(rng, (c_out,), fan_in)
         self.gweight = np.zeros_like(self.weight)
         self.gbias = np.zeros_like(self.bias)
+        self.needs_input_grad = True
         self._cache = None
 
     def parameters(self):
@@ -106,33 +136,64 @@ class Conv2d:
                 f"conv2d expects (B,{self.weight.shape[1]},H,W), got {x.shape}"
             )
         b, c, h, w = x.shape
-        padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-        windows = sliding_window_view(padded, (3, 3), axis=(2, 3))
-        cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(b, h * w, c * 9)
-        wmat = self.weight.reshape(self.weight.shape[0], c * 9)
-        out = cols @ wmat.T + self.bias
-        self._cache = (cols, x.shape)
-        return out.transpose(0, 2, 1).reshape(b, -1, h, w)
-
-    def backward(self, gout: np.ndarray) -> np.ndarray:
-        cols, (b, c, h, w) = self._cache
         c_out = self.weight.shape[0]
+        if h * w < 9:
+            unrolled = self._unrolled_weight(h, w)
+            rows = x.reshape(b, c * h * w)
+            # numpy sends a one-row product to gemv, which rounds differently
+            # from gemm; two copies of the row keep it on gemm, so a robot's
+            # features do not depend on the batch it is encoded in
+            out = (np.repeat(rows, 2, axis=0) if b == 1 else rows) @ unrolled
+            # (flattened input rows or im2col columns, input shape, unrolled weight)
+            self._cache = (rows, x.shape, unrolled)
+            return (out[:b] + np.repeat(self.bias, h * w)).reshape(b, c_out, h, w)
+        # channels-last padding: each cell's window is already (c, 3, 3) in order
+        padded = np.zeros((b, h + 2, w + 2, c))
+        padded[:, 1:-1, 1:-1] = x.transpose(0, 2, 3, 1)
+        cols = sliding_window_view(padded, (3, 3), axis=(1, 2)).reshape(b, h * w, c * 9)
+        out = cols @ self.weight.reshape(c_out, c * 9).T + self.bias
+        self._cache = (cols, x.shape, None)
+        return out.transpose(0, 2, 1).reshape(b, c_out, h, w)
+
+    def _unrolled_weight(self, h: int, w: int) -> np.ndarray:
+        c_out, c = self.weight.shape[:2]
+        placed = self.weight.reshape(c_out, c, 9) @ _tap_matrix(h, w)
+        # (co, ci, yi, xi, yo, xo) -> rows (ci, yi, xi), columns (co, yo, xo)
+        placed = placed.reshape(c_out, c, h, w, h, w).transpose(1, 2, 3, 0, 4, 5)
+        # contiguous, so that every batch size takes the same gemm kernel
+        return np.ascontiguousarray(placed.reshape(c * h * w, c_out * h * w))
+
+    def backward(self, gout: np.ndarray) -> np.ndarray | None:
+        inputs, (b, c, h, w), unrolled = self._cache
+        c_out = self.weight.shape[0]
+        self.gbias += gout.sum(axis=(0, 2, 3))
+        if unrolled is not None:
+            g2 = gout.reshape(b, c_out * h * w)
+            gplaced = (inputs.T @ g2).reshape(c, h, w, c_out, h, w)
+            gplaced = gplaced.transpose(3, 0, 1, 2, 4, 5).reshape(c_out, c, -1)
+            self.gweight += (gplaced @ _tap_matrix(h, w).T).reshape(self.weight.shape)
+            if not self.needs_input_grad:
+                return None
+            return (g2 @ unrolled.T).reshape(b, c, h, w)
         g2 = gout.reshape(b, c_out, h * w).transpose(0, 2, 1)
-        self.gbias += g2.sum(axis=(0, 1))
-        self.gweight += np.tensordot(g2, cols, axes=([0, 1], [0, 1])).reshape(
+        self.gweight += np.tensordot(g2, inputs, axes=([0, 1], [0, 1])).reshape(
             self.weight.shape
         )
+        if not self.needs_input_grad:
+            return None
         gcols = (g2 @ self.weight.reshape(c_out, c * 9)).reshape(b, h, w, c, 3, 3)
-        gcols = gcols.transpose(0, 3, 1, 2, 4, 5)
-        gpad = np.zeros((b, c, h + 2, w + 2))
+        gpad = np.zeros((b, h + 2, w + 2, c))
         for di in range(3):
             for dj in range(3):
-                gpad[:, :, di : di + h, dj : dj + w] += gcols[:, :, :, :, di, dj]
-        return gpad[:, :, 1 : h + 1, 1 : w + 1]
+                gpad[:, di : di + h, dj : dj + w] += gcols[..., di, dj]
+        return gpad[:, 1:-1, 1:-1].transpose(0, 3, 1, 2)
 
 
 class BatchNorm2d:
-    """Per-channel normalization over (batch, height, width)."""
+    """Per-channel normalization over (batch, height, width).
+
+    Statistics and gradients reduce over a (B, C, H*W) view of the input.
+    """
 
     def __init__(self, channels: int, eps: float = BN_EPS, momentum: float = BN_MOMENTUM):
         self.eps = eps
@@ -156,10 +217,12 @@ class BatchNorm2d:
             raise ShapeMismatch(
                 f"batchnorm2d expects (B,{self.gamma.shape[0]},H,W), got {x.shape}"
             )
+        x3 = x.reshape(x.shape[0], x.shape[1], -1)
         if train:
-            mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
-            m = x.shape[0] * x.shape[2] * x.shape[3]
+            m = x3.shape[0] * x3.shape[2]
+            mean = np.einsum("bcs->c", x3) / m
+            centred = x3 - mean[None, :, None]
+            var = np.einsum("bcs,bcs->c", centred, centred) / m
             unbiased = var * m / (m - 1) if m > 1 else var
             self.running_mean[...] = (
                 1 - self.momentum
@@ -170,21 +233,26 @@ class BatchNorm2d:
         else:
             mean = self.running_mean
             var = self.running_var
+            centred = x3 - mean[None, :, None]
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
+        xhat = centred * inv_std[None, :, None]
         self._cache = (xhat, inv_std, train)
-        return self.gamma[None, :, None, None] * xhat + self.beta[None, :, None, None]
+        out = self.gamma[None, :, None] * xhat + self.beta[None, :, None]
+        return out.reshape(x.shape)
 
     def backward(self, gout: np.ndarray) -> np.ndarray:
         xhat, inv_std, train = self._cache
-        self.gbeta += gout.sum(axis=(0, 2, 3))
-        self.ggamma += (gout * xhat).sum(axis=(0, 2, 3))
-        gxhat = gout * self.gamma[None, :, None, None]
+        g3 = gout.reshape(xhat.shape)
+        gsum = g3.sum(axis=(0, 2))
+        gxsum = np.einsum("bcs,bcs->c", g3, xhat)
+        self.gbeta += gsum
+        self.ggamma += gxsum
+        scale = (self.gamma * inv_std)[None, :, None]
         if not train:
-            return gxhat * inv_std[None, :, None, None]
-        mean_g = gxhat.mean(axis=(0, 2, 3), keepdims=True)
-        mean_gx = (gxhat * xhat).mean(axis=(0, 2, 3), keepdims=True)
-        return inv_std[None, :, None, None] * (gxhat - mean_g - xhat * mean_gx)
+            return (scale * g3).reshape(gout.shape)
+        m = xhat.shape[0] * xhat.shape[2]
+        gin = scale * (g3 - (gsum[None, :, None] + xhat * gxsum[None, :, None]) / m)
+        return gin.reshape(gout.shape)
 
 
 class ReLU:
@@ -199,10 +267,14 @@ class ReLU:
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        return np.maximum(x, 0.0)
 
     def backward(self, gout: np.ndarray) -> np.ndarray:
         return np.where(self._mask, gout, 0.0)
+
+
+# (row, column) offsets of the four cells of a 2x2 window, in row-major order
+_POOL_CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 class MaxPool2d:
@@ -223,23 +295,23 @@ class MaxPool2d:
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         if x.ndim != 4 or x.shape[2] < 2 or x.shape[3] < 2:
             raise ShapeMismatch(f"maxpool2d expects (B,C,H>=2,W>=2), got {x.shape}")
-        windows = sliding_window_view(x, (2, 2), axis=(2, 3))[:, :, ::2, ::2]
-        b, c, ho, wo, _, _ = windows.shape
-        flat = windows.reshape(b, c, ho, wo, 4)
-        idx = flat.argmax(axis=-1)
-        out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+        ho, wo = x.shape[2] // 2, x.shape[3] // 2
+        nw, ne, sw, se = (x[:, :, i : 2 * ho : 2, j : 2 * wo : 2] for i, j in _POOL_CELLS)
+        top, bottom = np.maximum(nw, ne), np.maximum(sw, se)
+        # index of the first cell, in row-major order, holding the maximum
+        top_idx = (nw < ne).view(np.int8)
+        bottom_idx = (sw < se).view(np.int8) + 2
+        idx = np.where(top >= bottom, top_idx, bottom_idx)
         self._cache = (idx, x.shape)
-        return out
+        return np.maximum(top, bottom)
 
     def backward(self, gout: np.ndarray) -> np.ndarray:
         idx, in_shape = self._cache
-        b, c, ho, wo = gout.shape
+        ho, wo = gout.shape[2:]
         gin = np.zeros(in_shape)
-        bi, ci, ii, ji = np.indices((b, c, ho, wo))
-        rows = 2 * ii + idx // 2
-        cols = 2 * ji + idx % 2
-        # stride equals window, so scatter targets are disjoint
-        gin[bi, ci, rows, cols] = gout
+        # stride equals window, so the four slices are disjoint
+        for k, (i, j) in enumerate(_POOL_CELLS):
+            gin[:, :, i : 2 * ho : 2, j : 2 * wo : 2] = np.where(idx == k, gout, 0.0)
         return gin
 
 
@@ -276,10 +348,12 @@ class Linear:
 class GraphFilter:
     """Polynomial graph convolution sum_k S^k X A_k with learnable taps A_k.
 
-    Powers of S are applied iteratively (one neighborhood exchange per tap),
-    so tap k only mixes information from within k hops. S itself is constant
-    data, not a parameter. Leading batch axes are allowed: (B,N,F) features
-    pair with (B,N,N) shift operators, one team per batch entry.
+    Forward applies S once per tap to the previous shifted signal (one
+    neighborhood exchange each), so tap k only mixes information from within
+    k hops; backward runs the same exchanges with S^T, nested Horner-style.
+    S itself is constant data, not a parameter. One code path takes a single
+    team, (N,F) features with an (N,N) shift operator, and stacked teams,
+    (B,N,F) with (B,N,N); tap gradients sum over every row of every team.
     """
 
     def __init__(self, f_in: int, g_out: int, taps: int, rng: np.random.Generator):

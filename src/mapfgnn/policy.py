@@ -81,6 +81,8 @@ class PolicyNetwork:
         c_prev = 3
         for i, c in enumerate(arch.channels):
             conv = Conv2d(c_prev, c, rng)
+            # observations are data: no gradient flows back into them
+            conv.needs_input_grad = i > 0
             bn = BatchNorm2d(c)
             self.store.add_layer(f"cnn.conv{i}", conv)
             self.store.add_layer(f"cnn.bn{i}", bn)

@@ -1,7 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from mapfgnn.errors import NonFiniteGradient, ShapeMismatch
 from mapfgnn.nn_core import (
@@ -26,6 +30,33 @@ def safe_input(rng, shape, low=0.2, high=1.0):
     mag = rng.uniform(low, high, size=shape)
     sign = rng.choice([-1.0, 1.0], size=shape)
     return mag * sign
+
+
+# spatial sizes on both sides of Conv2d's path choice (h*w < 9 vs >= 9)
+CONV_SIZES = ((1, 1), (2, 2), (2, 3), (4, 4), (9, 9))
+
+
+def reference_conv(conv, x):
+    """im2col over every cell's zero-padded 3x3 window, the path for any size."""
+    b, c, h, w = x.shape
+    padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    windows = sliding_window_view(padded, (3, 3), axis=(2, 3))
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(b, h * w, c * 9)
+    out = cols @ conv.weight.reshape(conv.weight.shape[0], c * 9).T + conv.bias
+    return out.transpose(0, 2, 1).reshape(b, -1, h, w)
+
+
+def reference_maxpool(x, gout):
+    """Output and input gradient of 2x2/stride-2 max pooling by argmax per window."""
+    windows = sliding_window_view(x, (2, 2), axis=(2, 3))[:, :, ::2, ::2]
+    b, c, ho, wo, _, _ = windows.shape
+    flat = windows.reshape(b, c, ho, wo, 4)
+    idx = flat.argmax(axis=-1)
+    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    gin = np.zeros(x.shape)
+    bi, ci, ii, ji = np.indices((b, c, ho, wo))
+    gin[bi, ci, 2 * ii + idx // 2, 2 * ji + idx % 2] = gout
+    return out, gin
 
 
 class TestConv2d:
@@ -59,10 +90,10 @@ class TestConv2d:
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(3)
-        for _ in range(5):
+        for h, w in CONV_SIZES:
             conv = Conv2d(2, 3, rng)
-            x = rng.normal(size=(2, 2, 4, 4))
-            coef = rng.normal(size=(2, 3, 4, 4))
+            x = rng.normal(size=(2, 2, h, w))
+            coef = rng.normal(size=(2, 3, h, w))
 
             def run():
                 conv.gweight[...] = 0.0
@@ -76,7 +107,39 @@ class TestConv2d:
                 ]
 
             err = gradient_check(run, [x, conv.weight, conv.bias])
-            assert err < 1e-6
+            assert err < 1e-6, (h, w)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        h=st.integers(1, 9),
+        w=st.integers(1, 9),
+        batch=st.integers(1, 3),
+        c_in=st.integers(1, 4),
+        c_out=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_im2col_reference(self, h, w, batch, c_in, c_out, seed):
+        rng = np.random.default_rng(seed)
+        conv = Conv2d(c_in, c_out, rng)
+        x = rng.normal(size=(batch, c_in, h, w))
+        out = conv.forward(x)
+        assert out.shape == (batch, c_out, h, w)
+        assert np.allclose(out, reference_conv(conv, x), rtol=0, atol=1e-12)
+
+    def test_data_input_skips_input_gradient(self):
+        rng = np.random.default_rng(23)
+        for h, w in ((2, 2), (4, 4)):
+            full, data = Conv2d(2, 3, rng), Conv2d(2, 3, rng)
+            data.weight[...], data.bias[...] = full.weight, full.bias
+            data.needs_input_grad = False
+            x = rng.normal(size=(2, 2, h, w))
+            coef = rng.normal(size=(2, 3, h, w))
+            full.forward(x)
+            data.forward(x)
+            assert full.backward(coef).shape == x.shape
+            assert data.backward(coef) is None
+            assert np.array_equal(data.gweight, full.gweight)
+            assert np.array_equal(data.gbias, full.gbias)
 
 
 class TestBatchNorm2d:
@@ -187,6 +250,39 @@ class TestReluMaxpool:
             return (out * coef).sum(), [mp.backward(coef).copy()]
 
         assert gradient_check(run, [x]) < 1e-6
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        h=st.integers(2, 9),
+        w=st.integers(2, 9),
+        batch=st.integers(1, 3),
+        channels=st.integers(1, 3),
+        levels=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_maxpool_matches_argmax_reference(self, h, w, batch, channels, levels, seed):
+        # few integer levels force 2-, 3- and 4-way ties inside windows
+        rng = np.random.default_rng(seed)
+        x = rng.integers(-levels, levels, size=(batch, channels, h, w), endpoint=True)
+        x = x.astype(np.float64)
+        mp = MaxPool2d()
+        out = mp.forward(x)
+        gout = rng.normal(size=out.shape)
+        ref_out, ref_gin = reference_maxpool(x, gout)
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(mp.backward(gout), ref_gin)
+
+    def test_maxpool_every_tie_pattern(self):
+        # all 81 windows over three levels, tiled 9x9, plus an odd row and column
+        windows = np.array(list(itertools.product((0.0, 1.0, 2.0), repeat=4)))
+        tiled = windows.reshape(9, 9, 2, 2).transpose(0, 2, 1, 3).reshape(18, 18)
+        x = np.pad(tiled, ((0, 1), (0, 1)), constant_values=5.0)[None, None]
+        mp = MaxPool2d()
+        out = mp.forward(x)
+        gout = np.random.default_rng(24).normal(size=out.shape)
+        ref_out, ref_gin = reference_maxpool(x, gout)
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(mp.backward(gout), ref_gin)
 
 
 class TestLinear:

@@ -3,7 +3,7 @@ import pytest
 
 from mapfgnn.errors import ShapeMismatch, VersionMismatch
 from mapfgnn.gridworld import build_gso
-from mapfgnn.nn_core import cross_entropy, gradient_check, one_hot
+from mapfgnn.nn_core import Conv2d, cross_entropy, gradient_check, one_hot
 from mapfgnn.policy import (
     PolicyArch,
     PolicyNetwork,
@@ -44,10 +44,15 @@ class TestArchitecture:
         assert np.array_equal(feats[0], feats[1])
 
     def test_eval_rows_encode_independently(self):
-        net = PolicyNetwork(TINY, seed=0)
+        # a robot's features must not depend on the batch it is encoded in,
+        # bit for bit, one-row batches (which BLAS may treat apart) included
         rng = np.random.default_rng(3)
-        obs = random_obs(rng, 2)
-        assert np.array_equal(net.encode(obs[:1])[0], net.encode(obs)[0])
+        obs = random_obs(rng, 16)
+        for arch in (TINY, PolicyArch()):
+            net = PolicyNetwork(arch, seed=0)
+            full = net.encode(obs)
+            for b in range(1, 17):
+                assert np.array_equal(net.encode(obs[:b]), full[:b]), (arch, b)
 
     def test_rejects_wrong_window(self):
         net = PolicyNetwork(seed=0)
@@ -187,3 +192,6 @@ class TestEndToEndGradients:
         arrays = list(net.store.params.values())
         err = gradient_check(run, arrays, max_coords=12, rng=rng)
         assert err < 1e-4
+        # observations are data: the first conv computes no gradient for them
+        convs = [layer for layer in net.cnn if isinstance(layer, Conv2d)]
+        assert [conv.needs_input_grad for conv in convs] == [False] + [True] * 5
