@@ -63,14 +63,16 @@ class Conflict:
 
 
 def bfs_distances(grid: GridMap, goal: Cell) -> dict[Cell, int]:
-    """Unit-cost distance from every reachable free cell to the goal."""
+    """Unit-cost distance from every reachable free cell to the (free) goal."""
+    successors = grid.successors
     dist = {goal: 0}
     queue = deque([goal])
     while queue:
         cell = queue.popleft()
-        for nxt in grid.neighbors(cell):
+        d = dist[cell] + 1
+        for nxt in successors[cell]:
             if nxt not in dist:
-                dist[nxt] = dist[cell] + 1
+                dist[nxt] = d
                 queue.append(nxt)
     return dist
 
@@ -93,6 +95,11 @@ def low_level_search(
     after the last vertex constraint on the goal cell. Cost equals arrival
     time, so g doubles as the timestep. Ties break by expansion order with
     successors generated in the fixed action order.
+
+    Every push of a state (cell, t) carries the same f = t + h(cell) and
+    g = t, so a second push could only pop after the first and be dropped.
+    Each state is therefore pushed once, its first parent kept, and the
+    parent table doubles as the closed set.
     """
     if horizon is None:
         horizon = default_horizon(grid)
@@ -111,41 +118,35 @@ def low_level_search(
     if (start, 0) in vertex_banned:
         raise Unreachable("start cell constrained at t=0")
     last_goal_ban = max((t for cell, t in vertex_banned if cell == goal), default=-1)
+    constrained = bool(vertex_banned or edge_banned)
 
+    successors = grid.successors
     tie = itertools.count()
     heap = [(dist_to_goal[start], 0, next(tie), start)]
-    came_from: dict[tuple[Cell, int], tuple[Cell, int]] = {}
-    closed = set()
+    came_from: dict[tuple[Cell, int], tuple[Cell, int] | None] = {(start, 0): None}
     while heap:
         _, g, _, cell = heapq.heappop(heap)
-        if (cell, g) in closed:
-            continue
-        closed.add((cell, g))
         if cell == goal and g > last_goal_ban:
-            path = [cell]
+            path = []
             key = (cell, g)
-            while key in came_from:
-                prev = came_from[key]
-                path.append(prev[0])
-                key = prev
+            while key is not None:
+                path.append(key[0])
+                key = came_from[key]
             path.reverse()
             return path
         if g >= horizon:
             continue
         t1 = g + 1
-        for dx, dy in ACTION_OFFSETS:
-            nxt = (cell[0] + dx, cell[1] + dy)
-            if not grid.is_free(nxt):
+        for nxt in successors[cell]:
+            state = (nxt, t1)
+            if state in came_from:
                 continue
-            if (nxt, t1) in vertex_banned or (cell, nxt, t1) in edge_banned:
-                continue
-            if (nxt, t1) in closed:
+            if constrained and (state in vertex_banned or (cell, nxt, t1) in edge_banned):
                 continue
             h = dist_to_goal.get(nxt)
             if h is None:
                 continue
-            if (nxt, t1) not in came_from:
-                came_from[(nxt, t1)] = (cell, g)
+            came_from[state] = (cell, g)
             heapq.heappush(heap, (t1 + h, t1, next(tie), nxt))
     raise Unreachable(f"no path {start} -> {goal} within horizon {horizon}")
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +35,12 @@ _CASE_RETRIES = 2000
 
 @dataclass(frozen=True)
 class GridMap:
-    """Static occupancy world of width x height cells."""
+    """Static occupancy world of width x height cells.
+
+    Lookup tables derived from the obstacles are built on first use and kept
+    on the instance. They take no part in equality, hashing, repr or pickling,
+    so a map's tables live and die with the map.
+    """
 
     width: int
     height: int
@@ -42,31 +48,69 @@ class GridMap:
     density: float = 0.0
     seed: int | None = None
 
-    def in_bounds(self, cell: Cell) -> bool:
-        x, y = cell
-        return 0 <= x < self.width and 0 <= y < self.height
+    def __getstate__(self):
+        # pickles carry the fields only; the receiving process rebuilds tables
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    def is_free(self, cell: Cell) -> bool:
-        return self.in_bounds(cell) and cell not in self.obstacles
+    @cached_property
+    def successors(self) -> dict[Cell, tuple[Cell, ...]]:
+        """Free cell -> the free cells one action away, in ACTION_OFFSETS order.
 
-    def free_cells(self) -> list[Cell]:
-        """All free cells in row-major (y, then x) order."""
-        return [
+        Idle comes first, so every entry starts with the cell itself. Keys
+        run in row-major (y, then x) order.
+        """
+        cells = [
             (x, y)
             for y in range(self.height)
             for x in range(self.width)
             if (x, y) not in self.obstacles
         ]
+        # successor tuples hold the key objects, so each cell is stored once
+        free = {cell: cell for cell in cells}
+        return {
+            cell: tuple(
+                nxt
+                for nxt in [free.get((cell[0] + dx, cell[1] + dy)) for dx, dy in ACTION_OFFSETS]
+                if nxt is not None
+            )
+            for cell in free
+        }
+
+    @cached_property
+    def _padded(self) -> dict[int, np.ndarray]:
+        return {}
+
+    def in_bounds(self, cell: Cell) -> bool:
+        x, y = cell
+        return 0 <= x < self.width and 0 <= y < self.height
+
+    def is_free(self, cell: Cell) -> bool:
+        return cell in self.successors
+
+    def free_cells(self) -> list[Cell]:
+        """All free cells in row-major (y, then x) order."""
+        return list(self.successors)
 
     def neighbors(self, cell: Cell) -> list[Cell]:
         """Free 4-connected neighbors of a free cell."""
-        x, y = cell
-        out = []
-        for dx, dy in ((0, -1), (-1, 0), (0, 1), (1, 0)):
-            nxt = (x + dx, y + dy)
-            if self.is_free(nxt):
-                out.append(nxt)
-        return out
+        return list(self.successors[cell][1:])
+
+    def padded_occupancy(self, radius: int) -> np.ndarray:
+        """Read-only obstacle array with a `radius`-cell border of obstacles.
+
+        Cell (x, y) sits at [y + radius, x + radius]. Built once per radius.
+        """
+        padded = self._padded.get(radius)
+        if padded is None:
+            r = radius
+            padded = np.ones((self.height + 2 * r, self.width + 2 * r))
+            padded[r : r + self.height, r : r + self.width] = 0.0
+            if self.obstacles:
+                ox, oy = np.array(list(self.obstacles)).T
+                padded[oy + r, ox + r] = 1.0
+            padded.setflags(write=False)
+            self._padded[radius] = padded
+        return padded
 
 
 @dataclass(frozen=True)
@@ -207,11 +251,7 @@ def team_observations(
     n = len(pos)
     # cell (x, y) sits at padded[y + r, x + r], so window row i of a robot at
     # (x0, y0) is padded row y0 + i
-    padded = np.ones((grid.height + 2 * r, grid.width + 2 * r))
-    padded[r : r + grid.height, r : r + grid.width] = 0.0
-    if grid.obstacles:
-        ox, oy = np.array(list(grid.obstacles)).T
-        padded[oy + r, ox + r] = 1.0
+    padded = grid.padded_occupancy(r)
     offs = np.arange(w)
     obs = np.zeros((n, 3, w, w))
     obs[:, 0] = padded[

@@ -1,6 +1,13 @@
+import heapq
+import itertools
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mapfgnn import expert
 from mapfgnn.errors import PlanInfeasible, TooLarge, Unreachable
 from mapfgnn.expert import (
     Constraint,
@@ -13,6 +20,7 @@ from mapfgnn.expert import (
     validate_plan,
 )
 from mapfgnn.gridworld import (
+    ACTION_OFFSETS,
     Case,
     GridMap,
     generate_case,
@@ -23,6 +31,137 @@ from mapfgnn.gridworld import (
 
 def empty_map(w, h):
     return GridMap(w, h, frozenset())
+
+
+# The low level as it stood before the per-map successor table and the
+# push-once A*, kept verbatim except that the map's free test and neighbour
+# list are spelled out from the fields, so the reference shares no table with
+# the code under test.
+
+
+def reference_is_free(grid, cell):
+    x, y = cell
+    return 0 <= x < grid.width and 0 <= y < grid.height and cell not in grid.obstacles
+
+
+def reference_neighbors(grid, cell):
+    x, y = cell
+    out = []
+    for dx, dy in ((0, -1), (-1, 0), (0, 1), (1, 0)):
+        nxt = (x + dx, y + dy)
+        if reference_is_free(grid, nxt):
+            out.append(nxt)
+    return out
+
+
+def reference_bfs(grid, goal):
+    dist = {goal: 0}
+    queue = deque([goal])
+    while queue:
+        cell = queue.popleft()
+        for nxt in reference_neighbors(grid, cell):
+            if nxt not in dist:
+                dist[nxt] = dist[cell] + 1
+                queue.append(nxt)
+    return dist
+
+
+def reference_low_level_search(
+    grid, start, goal, constraints=(), horizon=None, dist_to_goal=None
+):
+    if horizon is None:
+        horizon = expert.default_horizon(grid)
+    if dist_to_goal is None:
+        dist_to_goal = reference_bfs(grid, goal)
+    if start not in dist_to_goal:
+        raise Unreachable(f"no route {start} -> {goal}")
+
+    vertex_banned = set()
+    edge_banned = set()
+    for c in constraints:
+        if c.kind == expert.VERTEX:
+            vertex_banned.add((c.cells[0], c.time))
+        else:
+            edge_banned.add((c.cells[0], c.cells[1], c.time))
+    if (start, 0) in vertex_banned:
+        raise Unreachable("start cell constrained at t=0")
+    last_goal_ban = max((t for cell, t in vertex_banned if cell == goal), default=-1)
+
+    tie = itertools.count()
+    heap = [(dist_to_goal[start], 0, next(tie), start)]
+    came_from = {}
+    closed = set()
+    while heap:
+        _, g, _, cell = heapq.heappop(heap)
+        if (cell, g) in closed:
+            continue
+        closed.add((cell, g))
+        if cell == goal and g > last_goal_ban:
+            path = [cell]
+            key = (cell, g)
+            while key in came_from:
+                prev = came_from[key]
+                path.append(prev[0])
+                key = prev
+            path.reverse()
+            return path
+        if g >= horizon:
+            continue
+        t1 = g + 1
+        for dx, dy in ACTION_OFFSETS:
+            nxt = (cell[0] + dx, cell[1] + dy)
+            if not reference_is_free(grid, nxt):
+                continue
+            if (nxt, t1) in vertex_banned or (cell, nxt, t1) in edge_banned:
+                continue
+            if (nxt, t1) in closed:
+                continue
+            h = dist_to_goal.get(nxt)
+            if h is None:
+                continue
+            if (nxt, t1) not in came_from:
+                came_from[(nxt, t1)] = (cell, g)
+            heapq.heappush(heap, (t1 + h, t1, next(tie), nxt))
+    raise Unreachable(f"no path {start} -> {goal} within horizon {horizon}")
+
+
+def search_outcome(search, *args):
+    try:
+        return search(*args)
+    except Unreachable:
+        return "unreachable"
+
+
+@st.composite
+def search_problems(draw):
+    """A small map, free start and goal, constraints and an optional horizon."""
+    w = draw(st.integers(1, 6))
+    h = draw(st.integers(1, 6))
+    cells = [(x, y) for y in range(h) for x in range(w)]
+    start = draw(st.sampled_from(cells))
+    goal = draw(st.sampled_from(cells))
+    obstacles = draw(st.sets(st.sampled_from(cells), max_size=len(cells) // 2))
+    if draw(st.booleans()):
+        # wall the goal in
+        obstacles |= {(goal[0] + dx, goal[1] + dy) for dx, dy in ACTION_OFFSETS[1:]}
+    grid = GridMap(w, h, frozenset((obstacles & set(cells)) - {start, goal}))
+    horizon = draw(st.none() | st.integers(0, 12))
+    cons = []
+    for cell, t in draw(st.lists(st.tuples(st.sampled_from(cells), st.integers(0, 14)))):
+        cons.append(Constraint(0, "vertex", (cell,), t))
+    for cell, a, t in draw(
+        st.lists(st.tuples(st.sampled_from(cells), st.integers(0, 4), st.integers(1, 14)))
+    ):
+        dx, dy = ACTION_OFFSETS[a]
+        cons.append(Constraint(0, "edge", (cell, (cell[0] + dx, cell[1] + dy)), t))
+    arrival = reference_bfs(grid, goal).get(start)
+    if arrival is not None:
+        # bans on the goal from the first arrival on
+        for k in draw(st.sets(st.integers(0, 6), max_size=3)):
+            cons.append(Constraint(0, "vertex", (goal,), arrival + k))
+    if draw(st.booleans()):
+        cons.append(Constraint(0, "vertex", (start,), 0))
+    return grid, start, goal, tuple(draw(st.permutations(cons))), horizon
 
 
 class TestLowLevelSearch:
@@ -76,6 +215,84 @@ class TestLowLevelSearch:
             cost = len(low_level_search(m, (0, 0), (5, 5), cons)) - 1
             assert cost >= prev_cost
             prev_cost = cost
+
+
+class TestLowLevelMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(search_problems())
+    def test_same_path_or_both_unreachable(self, problem):
+        grid, start, goal, cons, horizon = problem
+        new = search_outcome(low_level_search, grid, start, goal, cons, horizon)
+        ref = search_outcome(reference_low_level_search, grid, start, goal, cons, horizon)
+        assert new == ref
+
+    @settings(max_examples=200, deadline=None)
+    @given(search_problems())
+    def test_bfs_distances_equal(self, problem):
+        grid, _, goal, _, _ = problem
+        new = bfs_distances(grid, goal)
+        ref = reference_bfs(grid, goal)
+        assert new == ref
+        assert list(new.items()) == list(ref.items())
+
+    def test_paper_scale_maps(self):
+        for seed in range(5):
+            m = generate_map(20, 20, 0.1, seed=seed)
+            case = generate_case(m, 10, seed=seed)
+            for s, g in zip(case.starts, case.goals):
+                cons = [Constraint(0, "vertex", (g,), t) for t in (3, 30)]
+                for c in ((), cons):
+                    assert low_level_search(m, s, g, c) == reference_low_level_search(
+                        m, s, g, c
+                    )
+
+
+def solve_counted(grid, case, cap):
+    """cbs_solve outcome and its high-level node count, stopped past `cap` nodes."""
+    original = expert.detect_first_conflict
+    nodes = [0]
+
+    class Capped(Exception):
+        pass
+
+    def counted(paths):
+        nodes[0] += 1
+        if nodes[0] > cap:
+            raise Capped()
+        return original(paths)
+
+    expert.detect_first_conflict = counted
+    try:
+        outcome = cbs_solve(grid, case)
+    except Capped:
+        outcome = "capped"
+    except PlanInfeasible:
+        outcome = "infeasible"
+    finally:
+        expert.detect_first_conflict = original
+    return outcome, nodes[0]
+
+
+class TestCbsMatchesReference:
+    def reference_solve(self, monkeypatch, grid, case, cap):
+        with monkeypatch.context() as mp:
+            mp.setattr(expert, "low_level_search", reference_low_level_search)
+            mp.setattr(expert, "bfs_distances", reference_bfs)
+            return solve_counted(grid, case, cap)
+
+    @pytest.mark.parametrize(
+        "size, robots, seeds, cap",
+        [(12, 6, range(20), 200), (20, 10, range(4), 60)],
+    )
+    def test_same_plans_and_node_counts(self, monkeypatch, size, robots, seeds, cap):
+        solved = 0
+        for seed in seeds:
+            m = generate_map(size, size, 0.1, seed=seed)
+            case = generate_case(m, robots, seed=seed)
+            new = solve_counted(m, case, cap)
+            assert new == self.reference_solve(monkeypatch, m, case, cap), f"seed {seed}"
+            solved += isinstance(new[0], expert.Plan)
+        assert solved >= len(seeds) // 2
 
 
 class TestDetectFirstConflict:

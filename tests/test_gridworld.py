@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -63,6 +64,57 @@ def scalar_gso(positions, comm_radius):
 
 def observe(grid, positions, goals, robot, fov_radius=4):
     return team_observations(grid, positions, goals, fov_radius)[robot]
+
+
+class TestGridMapTables:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 7),
+        st.integers(1, 7),
+        st.floats(0.0, 0.6),
+        st.integers(0, 10_000),
+    )
+    def test_free_test_and_neighbours_match_the_fields(self, w, h, density, seed):
+        m = GridMap(w, h, generate_map(max(w, 2), max(h, 2), density, seed).obstacles)
+
+        def free(cell):
+            x, y = cell
+            return 0 <= x < w and 0 <= y < h and cell not in m.obstacles
+
+        around = [(x, y) for y in range(-1, h + 1) for x in range(-1, w + 1)]
+        assert [m.is_free(c) for c in around] == [free(c) for c in around]
+        assert m.free_cells() == [c for c in around if free(c)]
+        for x, y in m.free_cells():
+            reach = [(x + dx, y + dy) for dx, dy in ACTION_OFFSETS]
+            assert m.successors[(x, y)] == tuple(c for c in reach if free(c))
+            assert m.neighbors((x, y)) == [c for c in reach[1:] if free(c)]
+        # successors reuse the key objects rather than storing each cell again
+        keys = {c: c for c in m.successors}
+        assert all(c is keys[c] for succ in m.successors.values() for c in succ)
+
+    def test_built_tables_leave_identity_alone(self):
+        fresh = generate_map(9, 7, 0.2, seed=5)
+        used = generate_map(9, 7, 0.2, seed=5)
+        used.successors
+        used.padded_occupancy(4)
+        assert used == fresh
+        assert hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        data = pickle.dumps(used)
+        assert data == pickle.dumps(fresh)
+        back = pickle.loads(data)
+        assert back == fresh
+        assert back.successors == used.successors
+
+    def test_padded_occupancy_is_cached_and_read_only(self):
+        m = generate_map(6, 5, 0.2, seed=2)
+        padded = m.padded_occupancy(2)
+        assert m.padded_occupancy(2) is padded
+        assert padded.shape == (9, 10)
+        assert not padded.flags.writeable
+        with pytest.raises(ValueError):
+            padded[0, 0] = 0.0
+        assert m.padded_occupancy(3).shape == (11, 12)
 
 
 class TestGenerateMap:
