@@ -19,7 +19,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -61,7 +61,11 @@ EXIT_IO = 4
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run settings, embedded into every artifact."""
+    """Fully resolved run settings, embedded into every artifact.
+
+    Fields shared with PolicyArch and TrainConfig carry the same names and
+    take their defaults from those classes, which own them and check them.
+    """
 
     width: int = 20
     height: int = 20
@@ -69,41 +73,32 @@ class RunConfig:
     num_robots: int = 10
     num_maps: int = 600
     cases_per_map: int = 50
-    fov_radius: int = 4
-    comm_radius: float = 5.0
-    taps: int = 3
-    features: int = 128
-    channels: tuple = (32, 32, 64, 64, 128, 128)
-    epochs: int = 150
-    lr_max: float = 1e-3
-    lr_min: float = 1e-6
-    batch_size: int = 64
-    l2: float = 1e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    oe_interval: int = 4
-    oe_cases: int = 500
-    timeout_s: float = 300.0
+    fov_radius: int = PolicyArch.fov_radius
+    comm_radius: float = PolicyArch.comm_radius
+    taps: int = PolicyArch.taps
+    features: int = PolicyArch.features
+    channels: tuple = PolicyArch.channels
+    epochs: int = TrainConfig.epochs
+    lr_max: float = TrainConfig.lr_max
+    lr_min: float = TrainConfig.lr_min
+    batch_size: int = TrainConfig.batch_size
+    l2: float = TrainConfig.l2
+    oe_interval: int = TrainConfig.oe_interval
+    oe_cases: int = TrainConfig.oe_cases
+    timeout_s: float = TrainConfig.timeout_s
     split_train: float = 0.70
     split_valid: float = 0.15
     split_test: float = 0.15
-    seed: int = 0
+    seed: int = TrainConfig.seed
     workers: int = 1
 
     def validate(self) -> None:
+        """The rules on fields no other class owns, then the owners' own."""
         checks = [
             (self.width >= 2 and self.height >= 2, "map must be at least 2x2"),
             (0.0 <= self.density < 1.0, "density must be in [0, 1)"),
             (self.num_robots >= 1, "need at least one robot"),
             (self.num_maps >= 0 and self.cases_per_map >= 0, "counts must be >= 0"),
-            (self.fov_radius >= 1, "fov_radius must be >= 1"),
-            (self.comm_radius > 0, "comm_radius must be positive"),
-            (self.taps >= 1, "taps must be >= 1"),
-            (self.epochs >= 1 and self.batch_size >= 1, "counts must be positive"),
-            (self.lr_min < self.lr_max, "lr_min must be below lr_max"),
-            (self.oe_interval >= 1 and self.oe_cases >= 1, "counts must be positive"),
-            (self.timeout_s > 0, "timeout_s must be positive"),
             (self.workers >= 1, "workers must be >= 1"),
             (
                 min(self.split_train, self.split_valid, self.split_test) >= 0
@@ -117,36 +112,18 @@ class RunConfig:
                 raise ConfigError(message)
         try:
             self.arch()
+            self.train_config()
         except ValueError as exc:
             raise ConfigError(str(exc))
+
+    def _derive(self, cls):
+        return cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
 
     def arch(self) -> PolicyArch:
-        return PolicyArch(
-            fov_radius=self.fov_radius,
-            taps=self.taps,
-            features=self.features,
-            channels=tuple(self.channels),
-        )
+        return self._derive(PolicyArch)
 
     def train_config(self) -> TrainConfig:
-        try:
-            return TrainConfig(
-                lr_max=self.lr_max,
-                lr_min=self.lr_min,
-                epochs=self.epochs,
-                batch_size=self.batch_size,
-                l2=self.l2,
-                beta1=self.beta1,
-                beta2=self.beta2,
-                eps=self.eps,
-                oe_interval=self.oe_interval,
-                oe_cases=self.oe_cases,
-                expert_timeout_s=self.timeout_s,
-                comm_radius=self.comm_radius,
-                seed=self.seed,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+        return self._derive(TrainConfig)
 
     def ratios(self) -> tuple:
         return (self.split_train, self.split_valid, self.split_test)
@@ -157,8 +134,12 @@ class RunConfig:
         return doc
 
 
-def _meta(command: str, config: RunConfig) -> dict:
-    return {"tool": f"mapfgnn {__version__}", "command": command, "config": config.as_dict()}
+def _meta(command: str, config: RunConfig, net=None) -> dict:
+    """Run metadata; with a network policy, also the arch it ran with."""
+    meta = {"tool": f"mapfgnn {__version__}", "command": command, "config": config.as_dict()}
+    if net is not None:
+        meta["arch"] = net.arch.to_jsonable()
+    return meta
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -343,9 +324,9 @@ def _cmd_train(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _make_policy(name: str, record, net, config: RunConfig):
+def _make_policy(name: str, record, net):
     if name == "network":
-        return NetworkPolicy(net, mode="greedy", comm_radius=config.comm_radius)
+        return NetworkPolicy(net, mode="greedy")
     if name == "expert-replay":
         return PlanReplayPolicy(record.plan)
     if name == "idle":
@@ -374,7 +355,7 @@ def _cmd_eval(args, config: RunConfig) -> int:
     net = datastore.load_weights(args.weights) if args.policy == "network" else None
     trajectories, plans = [], []
     for i, rec in enumerate(records):
-        policy = _make_policy(args.policy, rec, net, config)
+        policy = _make_policy(args.policy, rec, net)
         grid = maps[rec.case.map_id]
         trajectories.append(
             rollout(policy, grid, rec.case, rec.plan, seed=config.seed + i)
@@ -383,7 +364,7 @@ def _cmd_eval(args, config: RunConfig) -> int:
     report = compute_metrics(trajectories, plans)
     taps = net.arch.taps if net is not None else config.taps
     label = f"{args.policy}:{args.split}:K{taps}"
-    meta = _meta("eval", config)
+    meta = _meta("eval", config, net)
     datastore.save_report_csv(
         os.path.join(args.out_dir, "report.csv"), [(label, report)], meta=meta
     )
@@ -412,9 +393,9 @@ def _cmd_rollout(args, config: RunConfig) -> int:
     if rec.plan is None:
         raise ConfigError(f"case {rec.case_id!r} has no expert plan; run expert first")
     net = datastore.load_weights(args.weights) if args.policy == "network" else None
-    policy = _make_policy(args.policy, rec, net, config)
+    policy = _make_policy(args.policy, rec, net)
     traj = rollout(policy, maps[rec.case.map_id], rec.case, rec.plan, seed=config.seed)
-    datastore.save_trace(args.out, traj, case_id=rec.case_id, meta=_meta("rollout", config))
+    datastore.save_trace(args.out, traj, case_id=rec.case_id, meta=_meta("rollout", config, net))
     print(
         f"rollout: case={rec.case_id} success={traj.success} "
         f"steps={traj.steps} arrivals={list(traj.arrivals)}"
@@ -505,36 +486,21 @@ _HANDLERS = {
 # argument parsing
 
 
+# flags spelled other than "--" + the field name with "-" for "_"
+_FLAG_SPELLINGS = {
+    "num_robots": "--robots",
+    "taps": "--k",
+    "lr_max": "--lr",
+    "batch_size": "--batch",
+}
+
+
 def _add_config_flags(sub: argparse.ArgumentParser, *names: str) -> None:
-    """Flags overriding RunConfig fields; None means 'not provided'."""
-    spec = {
-        "width": dict(type=int),
-        "height": dict(type=int),
-        "density": dict(type=float),
-        "num_robots": dict(type=int, flag="--robots"),
-        "num_maps": dict(type=int),
-        "cases_per_map": dict(type=int),
-        "fov_radius": dict(type=int),
-        "comm_radius": dict(type=float),
-        "taps": dict(type=int, flag="--k"),
-        "epochs": dict(type=int),
-        "lr_max": dict(type=float, flag="--lr"),
-        "lr_min": dict(type=float),
-        "batch_size": dict(type=int, flag="--batch"),
-        "l2": dict(type=float),
-        "oe_interval": dict(type=int),
-        "oe_cases": dict(type=int),
-        "timeout_s": dict(type=float),
-        "split_train": dict(type=float),
-        "split_valid": dict(type=float),
-        "split_test": dict(type=float),
-        "seed": dict(type=int),
-        "workers": dict(type=int),
-    }
+    """Flags overriding RunConfig fields, typed like the field's default;
+    None means 'not provided'."""
     for name in names:
-        entry = dict(spec[name])
-        flag = entry.pop("flag", "--" + name.replace("_", "-"))
-        sub.add_argument(flag, dest=name, default=None, **entry)
+        flag = _FLAG_SPELLINGS.get(name, "--" + name.replace("_", "-"))
+        sub.add_argument(flag, dest=name, default=None, type=type(getattr(RunConfig, name)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -616,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("network", "expert-replay", "idle", "random"),
     )
     p.add_argument("--weights", default=None, help="model.json for --policy network")
-    _add_config_flags(p, "comm_radius", "seed")
+    _add_config_flags(p, "seed")
 
     p = sub("rollout", "trace a single case")
     p.add_argument("--data-dir", required=True)
@@ -628,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("network", "expert-replay", "idle", "random"),
     )
     p.add_argument("--weights", default=None)
-    _add_config_flags(p, "comm_radius", "seed")
+    _add_config_flags(p, "seed")
 
     p = sub("oracle-check", "compare the solver against a joint-space oracle")
     p.add_argument("--instances", type=int, default=200)

@@ -248,6 +248,8 @@ def _plan_from_doc(doc: dict, path: str, lineno: int) -> Plan:
     paths = tuple(
         _cells_from_lists(p, path, lineno) for p in _require(doc, "paths", path, lineno)
     )
+    if not paths:
+        raise ParseError("plan has no paths", path=path, line=lineno)
     plan = Plan(
         paths=paths,
         flowtime=int(_require(doc, "flowtime", path, lineno)),
@@ -338,7 +340,8 @@ def save_dataset(
 
 def load_dataset(path: str, maps: dict[str, GridMap]) -> Dataset:
     """Samples rebuilt from stored geometry; every position and goal must be
-    a free cell of the sample's map and every label an action index."""
+    a free cell of the sample's map, no two robots may share a cell, and the
+    labels must be a flat list of action indices."""
     header, records = _read_jsonl(path, "dataset")
     fov = int(header.get("fov_radius", DEFAULT_FOV_RADIUS))
     comm = float(header.get("comm_radius", DEFAULT_COMM_RADIUS))
@@ -350,15 +353,16 @@ def load_dataset(path: str, maps: dict[str, GridMap]) -> Dataset:
         grid = maps[map_id]
         positions = _cells_from_lists(_require(doc, "positions", path, lineno), path, lineno)
         goals = _cells_from_lists(_require(doc, "goals", path, lineno), path, lineno)
-        try:
-            labels = np.asarray(_require(doc, "labels", path, lineno), dtype=np.int64)
-        except (TypeError, ValueError):
-            raise ParseError("labels must be integers", path=path, line=lineno)
-        if not positions or not len(positions) == len(goals) == labels.size:
+        labels = _require(doc, "labels", path, lineno)
+        if not isinstance(labels, list) or not all(type(a) is int for a in labels):
+            raise ParseError("labels must be a flat list of integers", path=path, line=lineno)
+        if not positions or not len(positions) == len(goals) == len(labels):
             raise ParseError("robot, goal, label counts differ or are 0", path=path, line=lineno)
+        if len(set(positions)) < len(positions):
+            raise ParseError("two robots share a cell", path=path, line=lineno)
         if not all(map(grid.is_free, positions + goals)):
             raise ParseError(f"a cell is not free on {map_id!r}", path=path, line=lineno)
-        if labels.min() < 0 or labels.max() >= NUM_ACTIONS:
+        if not all(0 <= a < NUM_ACTIONS for a in labels):
             raise ParseError(f"labels must lie in [0, {NUM_ACTIONS})", path=path, line=lineno)
         samples.append(
             Sample(
@@ -366,7 +370,7 @@ def load_dataset(path: str, maps: dict[str, GridMap]) -> Dataset:
                 t=int(_require(doc, "t", path, lineno)),
                 obs=team_observations(grid, positions, goals, fov).astype(np.uint8),
                 gso=build_gso(positions, comm).matrix,
-                labels=labels,
+                labels=np.array(labels, dtype=np.int64),
                 map_id=map_id,
                 positions=positions,
                 goals=goals,

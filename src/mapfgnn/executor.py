@@ -16,7 +16,6 @@ from .errors import EmptyInput
 from .expert import Plan, plan_to_labels
 from .gridworld import (
     ACTION_OFFSETS,
-    DEFAULT_COMM_RADIUS,
     IDLE,
     Case,
     Cell,
@@ -27,6 +26,7 @@ from .gridworld import (
 )
 from .policy import PolicyNetwork, policy_forward, select_action
 
+HORIZON_FACTOR = 3
 DEADLOCK_WINDOW = 5
 
 
@@ -116,17 +116,21 @@ def collision_shield(grid: GridMap, positions, proposed):
 
 
 class NetworkPolicy:
-    """Wraps a PolicyNetwork for rollout: observe, communicate, act."""
+    """Wraps a PolicyNetwork for rollout: observe, communicate, act.
+
+    The communication radius defaults to the one the weights were trained
+    for, net.arch.comm_radius.
+    """
 
     def __init__(
         self,
         net: PolicyNetwork,
         mode: str = "greedy",
-        comm_radius: float = DEFAULT_COMM_RADIUS,
+        comm_radius: float | None = None,
     ):
         self.net = net
         self.mode = mode
-        self.comm_radius = comm_radius
+        self.comm_radius = net.arch.comm_radius if comm_radius is None else comm_radius
 
     def act(self, grid, case, positions, t, rng):
         obs = team_observations(grid, positions, case.goals, self.net.arch.fov_radius)
@@ -178,14 +182,13 @@ def rollout(
     case: Case,
     plan: Plan,
     seed: int = 0,
-    horizon_factor: int = 3,
 ) -> Trajectory:
-    """Execute the policy for up to horizon_factor * expert makespan steps.
+    """Execute the policy for up to HORIZON_FACTOR * expert makespan steps.
 
     Robots that reach their goals stay active and can be moved off again;
     the run ends early only when the whole team sits on its goals at once.
     """
-    t_max = horizon_factor * plan.makespan
+    t_max = HORIZON_FACTOR * plan.makespan
     rng = np.random.default_rng(seed)
     positions = list(case.starts)
     history = [tuple(positions)]
@@ -247,10 +250,10 @@ def compute_metrics(trajectories, plans) -> MetricsReport:
     )
 
 
-def detect_deadlock(traj: Trajectory, window: int = DEADLOCK_WINDOW):
+def detect_deadlock(traj: Trajectory):
     """(deadlocked, first stuck step): failed and frozen for the final steps.
 
-    A failed run counts as deadlocked when its last `window` transitions
+    A failed run counts as deadlocked when its last DEADLOCK_WINDOW transitions
     show no movement at all; livelock cycles keep moving and do not count.
     """
     if traj.success:
@@ -259,6 +262,6 @@ def detect_deadlock(traj: Trajectory, window: int = DEADLOCK_WINDOW):
     stuck = len(snaps) - 1
     while stuck > 0 and snaps[stuck - 1] == snaps[-1]:
         stuck -= 1
-    if len(snaps) - 1 - stuck >= window:
+    if len(snaps) - 1 - stuck >= DEADLOCK_WINDOW:
         return True, stuck
     return False, None

@@ -245,7 +245,7 @@ def cbs_solve(grid: GridMap, case: Case, timeout_s: float = 300.0) -> Plan:
     raise PlanInfeasible("constraint tree exhausted")
 
 
-def joint_bfs_oracle(grid: GridMap, case: Case, cost: str = "flowtime") -> Plan:
+def joint_bfs_oracle(grid: GridMap, case: Case) -> Plan:
     """Exhaustive joint-space search; ground truth for small instances.
 
     State is (positions, committed-mask). Uncommitted robots pay one unit per
@@ -254,8 +254,6 @@ def joint_bfs_oracle(grid: GridMap, case: Case, cost: str = "flowtime") -> Plan:
     sum of single-robot distances as heuristic returns the exact optimum
     under the same conflict rules as cbs_solve.
     """
-    if cost != "flowtime":
-        raise ValueError(f"unsupported cost {cost!r}")
     n = case.num_robots
     n_free = len(grid.free_cells())
     if (n_free**n) * (2**n) > ORACLE_STATE_BOUND:

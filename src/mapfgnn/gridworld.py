@@ -8,7 +8,6 @@ offsets (0,0), (0,-1), (-1,0), (0,+1), (+1,0).
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -77,6 +76,30 @@ class GridMap:
         }
 
     @cached_property
+    def components(self) -> np.ndarray:
+        """Read-only (height, width) int32 array: [y, x] holds the label of
+        the 4-connected free region holding cell (x, y), -1 on obstacles.
+
+        Two free cells are connected exactly when their labels are equal.
+        """
+        successors = self.successors
+        labels = np.full((self.height, self.width), -1, dtype=np.int32)
+        region = 0
+        for root in successors:
+            if labels[root[1], root[0]] >= 0:
+                continue
+            labels[root[1], root[0]] = region
+            stack = [root]
+            while stack:
+                for x, y in successors[stack.pop()]:
+                    if labels[y, x] < 0:
+                        labels[y, x] = region
+                        stack.append((x, y))
+            region += 1
+        labels.setflags(write=False)
+        return labels
+
+    @cached_property
     def _padded(self) -> dict[int, np.ndarray]:
         return {}
 
@@ -133,44 +156,6 @@ class Gso:
     matrix: np.ndarray
 
 
-@dataclass(frozen=True)
-class DensitySpec:
-    """Effective density beta = (robots + obstacles) / area for an instance."""
-
-    num_robots: int
-    obstacle_density: float
-    width: int
-    height: int
-
-    @property
-    def num_obstacles(self) -> int:
-        return math.floor(self.obstacle_density * self.width * self.height)
-
-    @property
-    def effective_density(self) -> float:
-        area = self.width * self.height
-        return (self.num_robots + self.num_obstacles) / area
-
-    def scaled_to(self, num_robots: int) -> "DensitySpec":
-        """Square world for a new team size holding effective density fixed.
-
-        Picks the side length whose realized beta is closest to this spec's;
-        the residual is bounded by the 1/(W*H) obstacle-count rounding.
-        """
-        beta = self.effective_density
-        rho = self.obstacle_density
-        if beta <= rho:
-            raise ValueError("effective density must exceed obstacle density")
-        side = math.sqrt(num_robots / (beta - rho))
-        best = None
-        for cand in {max(2, math.floor(side)), math.ceil(side)}:
-            spec = DensitySpec(num_robots, rho, cand, cand)
-            err = abs(spec.effective_density - beta)
-            if best is None or err < best[0]:
-                best = (err, spec)
-        return best[1]
-
-
 def generate_map(width: int, height: int, density: float, seed: int) -> GridMap:
     """Random map with floor(density * area) obstacles, uniform without replacement."""
     if width < 2 or height < 2:
@@ -183,23 +168,6 @@ def generate_map(width: int, height: int, density: float, seed: int) -> GridMap:
     picks = rng.choice(area, size=n_obs, replace=False) if n_obs else []
     obstacles = frozenset((int(i) % width, int(i) // width) for i in picks)
     return GridMap(width, height, obstacles, density=density, seed=seed)
-
-
-def _reachable(grid: GridMap, start: Cell, goal: Cell) -> bool:
-    """4-connected reachability on free cells, ignoring other robots."""
-    if start == goal:
-        return True
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        cell = queue.popleft()
-        for nxt in grid.neighbors(cell):
-            if nxt == goal:
-                return True
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return False
 
 
 def generate_case(
@@ -216,6 +184,7 @@ def generate_case(
         raise InfeasibleCase(
             f"{num_robots} robots but only {len(free)} free cells"
         )
+    comp = grid.components
     rng = np.random.default_rng(seed)
     for _ in range(_CASE_RETRIES):
         start_idx = rng.choice(len(free), size=num_robots, replace=False)
@@ -224,7 +193,7 @@ def generate_case(
         goals = tuple(free[i] for i in goal_idx)
         if any(s == g for s, g in zip(starts, goals)):
             continue
-        if all(_reachable(grid, s, g) for s, g in zip(starts, goals)):
+        if all(comp[s[1], s[0]] == comp[g[1], g[0]] for s, g in zip(starts, goals)):
             return Case(map_id=map_id, starts=starts, goals=goals)
     raise InfeasibleCase(
         f"no valid assignment found after {_CASE_RETRIES} attempts"

@@ -195,9 +195,7 @@ class BatchNorm2d:
     Statistics and gradients reduce over a (B, C, H*W) view of the input.
     """
 
-    def __init__(self, channels: int, eps: float = BN_EPS, momentum: float = BN_MOMENTUM):
-        self.eps = eps
-        self.momentum = momentum
+    def __init__(self, channels: int):
         self.gamma = np.ones(channels)
         self.beta = np.zeros(channels)
         self.ggamma = np.zeros_like(self.gamma)
@@ -224,17 +222,13 @@ class BatchNorm2d:
             centred = x3 - mean[None, :, None]
             var = np.einsum("bcs,bcs->c", centred, centred) / m
             unbiased = var * m / (m - 1) if m > 1 else var
-            self.running_mean[...] = (
-                1 - self.momentum
-            ) * self.running_mean + self.momentum * mean
-            self.running_var[...] = (
-                1 - self.momentum
-            ) * self.running_var + self.momentum * unbiased
+            self.running_mean[...] = (1 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean
+            self.running_var[...] = (1 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * unbiased
         else:
             mean = self.running_mean
             var = self.running_var
             centred = x3 - mean[None, :, None]
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat = centred * inv_std[None, :, None]
         self._cache = (xhat, inv_std, train)
         out = self.gamma[None, :, None] * xhat + self.beta[None, :, None]

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch, VersionMismatch
+from .gridworld import DEFAULT_COMM_RADIUS, DEFAULT_FOV_RADIUS, NUM_ACTIONS
 from .nn_core import (
     BatchNorm2d,
     Conv2d,
@@ -23,20 +24,29 @@ from .nn_core import (
     softmax,
 )
 
-WEIGHTS_FORMAT = "mapfgnn-weights-v1"
+WEIGHTS_FORMAT = "mapfgnn-weights-v2"
 
 
 @dataclass(frozen=True)
 class PolicyArch:
-    """Shape of the pipeline; defaults follow the reference setup."""
+    """Shape of the pipeline; defaults follow the reference setup.
 
-    fov_radius: int = 4
+    Both radii belong to the policy: the CNN reads a (2*fov_radius+1)^2
+    window, and the graph filter's taps are learned for the shift operator
+    of one communication radius.
+    """
+
+    fov_radius: int = DEFAULT_FOV_RADIUS
+    comm_radius: float = DEFAULT_COMM_RADIUS
     taps: int = 3
     features: int = 128
     channels: tuple[int, ...] = (32, 32, 64, 64, 128, 128)
-    num_actions: int = 5
 
     def __post_init__(self):
+        if self.fov_radius < 1:
+            raise ValueError("fov_radius must be >= 1")
+        if not self.comm_radius > 0:
+            raise ValueError("comm_radius must be positive")
         if self.channels[-1] != self.features:
             raise ValueError("last CNN channel count must equal feature width")
         if self.taps < 1:
@@ -49,20 +59,20 @@ class PolicyArch:
     def to_jsonable(self) -> dict:
         return {
             "fov_radius": self.fov_radius,
+            "comm_radius": float(self.comm_radius),
             "taps": self.taps,
             "features": self.features,
             "channels": list(self.channels),
-            "num_actions": self.num_actions,
         }
 
     @classmethod
     def from_jsonable(cls, doc: dict) -> "PolicyArch":
         return cls(
             fov_radius=doc["fov_radius"],
+            comm_radius=doc["comm_radius"],
             taps=doc["taps"],
             features=doc["features"],
             channels=tuple(doc["channels"]),
-            num_actions=doc["num_actions"],
         )
 
 
@@ -92,7 +102,7 @@ class PolicyNetwork:
             c_prev = c
         self.gnn = GraphFilter(arch.features, arch.features, arch.taps, rng)
         self.gnn_relu = ReLU()
-        self.head = Linear(arch.features, arch.num_actions, rng)
+        self.head = Linear(arch.features, NUM_ACTIONS, rng)
         self.store.add_layer("gnn.filter", self.gnn)
         self.store.add_layer("mlp.head", self.head)
 

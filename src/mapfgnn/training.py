@@ -34,6 +34,11 @@ from .policy import PolicyNetwork
 _SHUFFLE_STREAM = 7919
 _OE_STREAM = 104729
 
+# Adam's moment decay rates and denominator guard, at Kingma and Ba's defaults
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -42,13 +47,9 @@ class TrainConfig:
     epochs: int = 150
     batch_size: int = 64
     l2: float = 1e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     oe_interval: int = 4
     oe_cases: int = 500
-    expert_timeout_s: float = 300.0
-    comm_radius: float = DEFAULT_COMM_RADIUS
+    timeout_s: float = 300.0
     seed: int = 0
 
     def __post_init__(self):
@@ -56,6 +57,8 @@ class TrainConfig:
             raise ValueError("lr_min must be below lr_max")
         if min(self.epochs, self.batch_size, self.oe_interval, self.oe_cases) < 1:
             raise ValueError("counts must be positive")
+        if not self.timeout_s > 0:
+            raise ValueError("timeout_s must be positive")
 
 
 @dataclass
@@ -105,7 +108,7 @@ def expand_case(
     case: Case,
     plan: Plan,
     case_id: str,
-    fov_radius: int = 4,
+    fov_radius: int = DEFAULT_FOV_RADIUS,
     comm_radius: float = DEFAULT_COMM_RADIUS,
 ) -> list[Sample]:
     """Per-timestep samples along the expert trajectory, t in [0, makespan)."""
@@ -162,15 +165,15 @@ def adam_step(store, adam: AdamState, lr: float, config: TrainConfig) -> None:
     """One coupled-L2 Adam update in place; aborts on non-finite gradients."""
     store.check_finite()
     adam.t += 1
-    bc1 = 1 - config.beta1**adam.t
-    bc2 = 1 - config.beta2**adam.t
+    bc1 = 1 - ADAM_BETA1**adam.t
+    bc2 = 1 - ADAM_BETA2**adam.t
     for name, p in store.params.items():
         g = store.grads[name] + config.l2 * p
         m = adam.m[name]
         v = adam.v[name]
-        m[...] = config.beta1 * m + (1 - config.beta1) * g
-        v[...] = config.beta2 * v + (1 - config.beta2) * g * g
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + config.eps)
+        m[...] = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
+        v[...] = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def _batch_pass(net: PolicyNetwork, batch, train: bool):
@@ -285,7 +288,7 @@ def aggregate_online_expert(
     k = min(config.oe_cases, len(train_records))
     picks = rng.choice(len(train_records), size=k, replace=False)
     if policy_factory is None:
-        shared = NetworkPolicy(net, mode="greedy", comm_radius=config.comm_radius)
+        shared = NetworkPolicy(net, mode="greedy")
         policy_factory = lambda rec: shared
     failures = 0
     repairs = 0
@@ -303,7 +306,7 @@ def aggregate_online_expert(
             goals=rec.case.goals,
         )
         try:
-            repair_plan = cbs_solve(grid, repair_case, config.expert_timeout_s)
+            repair_plan = cbs_solve(grid, repair_case, config.timeout_s)
         except (SolverTimeout, MapfGnnError) as exc:
             if log is not None:
                 log(f"online expert skipped {rec.case_id}: {exc}")
@@ -315,7 +318,7 @@ def aggregate_online_expert(
             repair_plan,
             case_id=f"{rec.case_id}/oe{epoch}",
             fov_radius=net.arch.fov_radius,
-            comm_radius=config.comm_radius,
+            comm_radius=net.arch.comm_radius,
         )
         dataset.samples.extend(samples)
         added += len(samples)

@@ -1,12 +1,14 @@
+import argparse
 import json
 import os
 
 import pytest
 
-from mapfgnn import cli, datastore
+from mapfgnn import cli, datastore, executor
 from mapfgnn.cli import RunConfig, build_parser, main, resolve_config
 from mapfgnn.datastore import load_trace, read_csv, solve_case_pool
 from mapfgnn.errors import ConfigError
+from mapfgnn.executor import NetworkPolicy, compute_metrics, rollout
 
 
 def parse(argv):
@@ -25,7 +27,7 @@ def write_config(tmp_path, extra=None):
     return str(path)
 
 
-def build_small_dataset(tmp_path, seed=11):
+def build_small_dataset(tmp_path, seed=11, flags=()):
     data_dir = tmp_path / "data"
     rc = main(
         [
@@ -41,6 +43,7 @@ def build_small_dataset(tmp_path, seed=11):
             "--split-train", "0.5",
             "--split-valid", "0.25",
             "--split-test", "0.25",
+            *flags,
         ]
     )
     assert rc == 0
@@ -114,11 +117,57 @@ class TestResolveConfig:
             parse(["train", "--data-dir", "d", "--out-dir", "o", "--workers", "2"])
 
     @pytest.mark.parametrize("command", ["eval", "rollout"])
-    @pytest.mark.parametrize("flag", ["--k", "--fov-radius"])
+    @pytest.mark.parametrize("flag", ["--k", "--fov-radius", "--comm-radius"])
     def test_eval_and_rollout_reject_arch_flags(self, command, flag, capsys):
         out = "--out-dir" if command == "eval" else "--out"
         with pytest.raises(SystemExit):
             parse([command, "--data-dir", "d", out, "o", flag, "2"])
+
+    def test_config_flags_keep_spelling_and_type(self):
+        types = {
+            "--width": int, "--height": int, "--density": float, "--robots": int,
+            "--num-maps": int, "--cases-per-map": int, "--fov-radius": int,
+            "--comm-radius": float, "--k": int, "--epochs": int, "--lr": float,
+            "--lr-min": float, "--batch": int, "--l2": float, "--oe-interval": int,
+            "--oe-cases": int, "--timeout-s": float, "--split-train": float,
+            "--split-valid": float, "--split-test": float, "--seed": int, "--workers": int,
+        }
+        spelled = {"--robots": "num_robots", "--k": "taps", "--lr": "lr_max",
+                   "--batch": "batch_size"}
+        expected = {
+            "gen-maps": ["--num-maps", "--width", "--height", "--density", "--seed"],
+            "gen-cases": ["--cases-per-map", "--robots", "--seed"],
+            "expert": ["--timeout-s", "--workers", "--seed"],
+            "build-dataset": [
+                "--num-maps", "--cases-per-map", "--robots", "--width", "--height",
+                "--density", "--fov-radius", "--comm-radius", "--timeout-s",
+                "--split-train", "--split-valid", "--split-test", "--seed", "--workers",
+            ],
+            "train": [
+                "--epochs", "--lr", "--lr-min", "--batch", "--l2", "--oe-interval",
+                "--oe-cases", "--k", "--fov-radius", "--comm-radius", "--timeout-s", "--seed",
+            ],
+            "eval": ["--seed"],
+            "rollout": ["--seed"],
+            "oracle-check": ["--timeout-s", "--seed"],
+            "report": [],
+        }
+        fields = set(RunConfig().as_dict())
+        subs = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ).choices
+        assert set(subs) == set(expected)
+        for command, sub in subs.items():
+            got = [
+                (a.option_strings, a.dest, a.type)
+                for a in sub._actions
+                if a.dest in fields
+            ]
+            want = [
+                ([flag], spelled.get(flag, flag[2:].replace("-", "_")), types[flag])
+                for flag in expected[command]
+            ]
+            assert got == want, command
 
 
 class TestExitCodes:
@@ -308,6 +357,82 @@ class TestTrainEvalRollout:
         assert rc == 0
         _, _, rows = read_csv(str(out_dir / "report.csv"), "report")
         assert rows[0]["num_cases"] == str(len(expected))
+
+
+@pytest.fixture(scope="module")
+def radius2_workspace(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("radius2")
+    data_dir = build_small_dataset(tmp_path, flags=["--comm-radius", "2"])
+    run_dir = tmp_path / "run"
+    config = write_config(tmp_path)
+    rc = main(
+        ["train", "--data-dir", str(data_dir), "--out-dir", str(run_dir),
+         "--config", config, "--epochs", "2", "--k", "2", "--comm-radius", "2",
+         "--oe-interval", "2", "--oe-cases", "3", "--seed", "1", "--timeout-s", "30"]
+    )
+    assert rc == 0
+    return tmp_path, data_dir, run_dir / "model.json", config
+
+
+class TestWeightsOwnTheRadius:
+    def test_eval_and_rollout_run_at_the_trained_radius(self, radius2_workspace, monkeypatch):
+        tmp_path, data_dir, weights, config = radius2_workspace
+        radii = []
+        real_build_gso = executor.build_gso
+
+        def recording_build_gso(positions, comm_radius):
+            radii.append(comm_radius)
+            return real_build_gso(positions, comm_radius)
+
+        monkeypatch.setattr(executor, "build_gso", recording_build_gso)
+        out_dir = tmp_path / "eval"
+        rc = main(["eval", "--data-dir", str(data_dir), "--out-dir", str(out_dir),
+                   "--split", "test", "--weights", str(weights), "--config", config,
+                   "--seed", "3"])
+        assert rc == 0
+        trace = tmp_path / "trace.json"
+        rc = main(["rollout", "--data-dir", str(data_dir), "--out", str(trace),
+                   "--weights", str(weights), "--seed", "3"])
+        assert rc == 0
+        assert radii and set(radii) == {2.0}
+
+        maps = datastore.load_maps(str(data_dir / "maps.jsonl"))
+        net = datastore.load_weights(str(weights))
+        assert net.arch.comm_radius == 2.0
+        args = parse(["eval", "--data-dir", str(data_dir), "--out-dir", "o", "--split", "test"])
+        records = cli._load_eval_records(args, maps)
+        policy = NetworkPolicy(net, comm_radius=2.0)
+        trajs = [
+            rollout(policy, maps[rec.case.map_id], rec.case, rec.plan, seed=3 + i)
+            for i, rec in enumerate(records)
+        ]
+        expected = tmp_path / "expected.csv"
+        report = compute_metrics(trajs, [rec.plan for rec in records])
+        datastore.save_report_csv(str(expected), [("network:test:K2", report)])
+        header, _, rows = read_csv(str(out_dir / "report.csv"), "report")
+        assert rows == read_csv(str(expected), "report")[2]
+        assert header["meta"]["arch"]["comm_radius"] == 2.0
+
+        doc = load_trace(str(trace))
+        all_records = datastore.load_cases(str(data_dir / "cases.jsonl"), maps)
+        rec = all_records[0]
+        traj = rollout(policy, maps[rec.case.map_id], rec.case, rec.plan, seed=3)
+        assert doc["positions"] == [[list(cell) for cell in step] for step in traj.positions]
+        assert doc["meta"]["arch"]["comm_radius"] == 2.0
+
+    def test_v1_weights_are_a_version_mismatch(self, radius2_workspace, capsys):
+        tmp_path, data_dir, weights, _ = radius2_workspace
+        doc = json.loads(weights.read_text())
+        doc["model"]["format"] = "mapfgnn-weights-v1"
+        del doc["model"]["arch"]["comm_radius"]
+        doc["model"]["arch"]["num_actions"] = 5
+        old = tmp_path / "model_v1.json"
+        old.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["eval", "--data-dir", str(data_dir), "--out-dir", str(tmp_path / "v1"),
+                   "--weights", str(old)])
+        assert rc == 4
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "VersionMismatch"
 
 
 class TestOracleCheck:

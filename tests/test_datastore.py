@@ -171,13 +171,17 @@ class TestCasesFile:
             load_cases(str(p), maps)
         assert "plan" in str(err.value)
 
-    def test_flowtime_mismatch_rejected(self, tmp_path):
+    @pytest.mark.parametrize("rule", ["flowtime_mismatch", "no_paths"])
+    def test_malformed_plan_rejected(self, tmp_path, rule):
         maps, pool, _ = small_pool()
         p = tmp_path / "cases.jsonl"
         save_cases(str(p), pool)
         lines = p.read_text().splitlines()
         doc = json.loads(lines[1])
-        doc["plan"]["flowtime"] += 1
+        if rule == "flowtime_mismatch":
+            doc["plan"]["flowtime"] += 1
+        else:
+            doc["plan"]["paths"] = []
         lines[1] = json.dumps(doc)
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError):
@@ -230,7 +234,8 @@ class TestDatasetFile:
     @pytest.mark.parametrize(
         "rule",
         ["goals_short", "position_off_map", "goal_off_map", "position_on_obstacle",
-         "label_too_large", "label_negative", "label_not_integer"],
+         "positions_shared", "label_too_large", "label_negative", "label_not_integer",
+         "labels_nested"],
     )
     def test_bad_geometry_rejected(self, tmp_path, rule):
         maps, pool, _ = small_pool()
@@ -248,12 +253,16 @@ class TestDatasetFile:
             doc["goals"][0] = [grid.width, 0]
         elif rule == "position_on_obstacle":
             doc["positions"][0] = list(min(grid.obstacles))
+        elif rule == "positions_shared":
+            doc["positions"][1] = doc["positions"][0]
         elif rule == "label_too_large":
             doc["labels"][0] = 5
         elif rule == "label_negative":
             doc["labels"][0] = -1
-        else:
+        elif rule == "label_not_integer":
             doc["labels"][0] = "x"
+        else:
+            doc["labels"] = [[a] for a in doc["labels"]]
         lines[1] = json.dumps(doc)
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError):

@@ -1,5 +1,6 @@
 import math
 import pickle
+from collections import deque
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from mapfgnn.errors import InfeasibleCase, OutOfBounds
 from mapfgnn.gridworld import (
     ACTION_OFFSETS,
-    DensitySpec,
     GridMap,
     build_gso,
     generate_case,
@@ -62,6 +62,23 @@ def scalar_gso(positions, comm_radius):
     return mat
 
 
+def reference_reachable(grid, start, goal):
+    """Reference: 4-connected reachability by one BFS from start."""
+    if start == goal:
+        return True
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        cell = queue.popleft()
+        for nxt in grid.neighbors(cell):
+            if nxt == goal:
+                return True
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return False
+
+
 def observe(grid, positions, goals, robot, fov_radius=4):
     return team_observations(grid, positions, goals, fov_radius)[robot]
 
@@ -92,10 +109,32 @@ class TestGridMapTables:
         keys = {c: c for c in m.successors}
         assert all(c is keys[c] for succ in m.successors.values() for c in succ)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 6),
+        st.integers(2, 6),
+        st.floats(0.0, 0.6),
+        st.integers(0, 10_000),
+    )
+    def test_component_labels_match_pairwise_bfs(self, w, h, density, seed):
+        m = generate_map(w, h, density, seed)
+        comp = m.components
+        assert m.components is comp
+        assert not comp.flags.writeable
+        assert comp.shape == (h, w)
+        free = m.free_cells()
+        assert all(comp[y, x] == -1 for x, y in m.obstacles)
+        assert all(comp[y, x] >= 0 for x, y in free)
+        for s in free:
+            for g in free:
+                same = comp[s[1], s[0]] == comp[g[1], g[0]]
+                assert same == reference_reachable(m, s, g), (s, g)
+
     def test_built_tables_leave_identity_alone(self):
         fresh = generate_map(9, 7, 0.2, seed=5)
         used = generate_map(9, 7, 0.2, seed=5)
         used.successors
+        used.components
         used.padded_occupancy(4)
         assert used == fresh
         assert hash(used) == hash(fresh)
@@ -372,22 +411,3 @@ class TestStepPositions:
 
     def test_action_offsets_convention(self):
         assert ACTION_OFFSETS == ((0, 0), (0, -1), (-1, 0), (0, 1), (1, 0))
-
-
-class TestDensitySpec:
-    def test_effective_density_formula(self):
-        spec = DensitySpec(10, 0.10, 20, 20)
-        assert spec.num_obstacles == 40
-        assert spec.effective_density == pytest.approx(50 / 400)
-
-    def test_scaling_preserves_beta_within_rounding(self):
-        base = DensitySpec(10, 0.10, 20, 20)
-        for n in (20, 30, 40, 60, 100):
-            scaled = base.scaled_to(n)
-            tol = 1.0 / (scaled.width * scaled.height)
-            assert abs(scaled.effective_density - base.effective_density) <= tol
-
-    def test_scaling_matches_known_mid_size(self):
-        base = DensitySpec(10, 0.10, 20, 20)
-        scaled = base.scaled_to(20)
-        assert (scaled.width, scaled.height) == (28, 28)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -351,8 +352,8 @@ class TestOnlineExpert:
         maps, records = solved_pool(num_cases=3, robots=3, seed=10)
         ds = dataset_from(records, maps)
         before = len(ds)
-        net = PolicyNetwork(TINY, seed=6)
-        cfg = TrainConfig(oe_cases=3, comm_radius=2.0, seed=0)
+        net = PolicyNetwork(replace(TINY, comm_radius=2.0), seed=6)
+        cfg = TrainConfig(oe_cases=3, seed=0)
         rolled, failed, repaired, added = aggregate_online_expert(
             net, ds, records, maps, cfg, epoch=0,
             policy_factory=lambda rec: IdlePolicy(),
@@ -361,7 +362,7 @@ class TestOnlineExpert:
         # idle never moves, so each repair replans the original case
         assert added == sum(r.plan.makespan for r in records)
         assert len(ds) == before + added
-        # repair samples use the configured radius, not the 5.0 default
+        # repair samples use the weights' radius, not the 5.0 default
         repairs = ds.samples[before:]
         for s in repairs:
             assert np.array_equal(s.gso, build_gso(s.positions, 2.0).matrix)
