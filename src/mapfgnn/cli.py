@@ -3,9 +3,9 @@ evaluation, and report emission.
 
 Configuration comes from built-in defaults, then an optional JSON config
 file (path via --config or the MAPFGNN_CONFIG environment variable), then
-command-line flags; later sources win. The fully resolved configuration is
-echoed into every output artifact. Exit codes: 0 ok, 1 check failed,
-2 config error, 3 infeasible or timeout-dominated run, 4 I/O error.
+command-line flags; later sources win. Artifact headers record the settings
+their subcommand read. Exit codes: 0 ok, 1 check failed, 2 config error,
+3 infeasible or timeout-dominated run, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from .executor import (
 from .expert import cbs_solve, joint_bfs_oracle
 from .gridworld import generate_case, generate_map
 from .policy import PolicyArch, PolicyNetwork
-from .training import Dataset, TrainConfig, fit, split_dataset
+from .training import TrainConfig, fit, split_dataset
 
 CONFIG_ENV = "MAPFGNN_CONFIG"
 
@@ -61,7 +61,7 @@ EXIT_IO = 4
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run settings, embedded into every artifact.
+    """Fully resolved run settings; each subcommand records the ones it reads.
 
     Fields shared with PolicyArch and TrainConfig carry the same names and
     take their defaults from those classes, which own them and check them.
@@ -134,16 +134,44 @@ class RunConfig:
         return doc
 
 
+# the RunConfig fields each subcommand reads: its flags and its headers'
+# meta.config both come from this one list
+_READS = {
+    "gen-maps": ("num_maps", "width", "height", "density", "seed"),
+    "gen-cases": ("cases_per_map", "num_robots", "seed"),
+    "expert": ("timeout_s", "workers", "seed"),
+    "build-dataset": (
+        "num_maps", "cases_per_map", "num_robots", "width", "height", "density",
+        "fov_radius", "comm_radius", "timeout_s", "split_train", "split_valid",
+        "split_test", "seed", "workers",
+    ),
+    "train": (
+        "epochs", "lr_max", "lr_min", "batch_size", "l2", "oe_interval", "oe_cases",
+        "taps", "features", "channels", "timeout_s", "seed",
+    ),
+    "eval": ("seed",),
+    "rollout": ("seed",),
+    "oracle-check": ("timeout_s", "seed"),
+    "report": (),
+}
+
+# set from the config file only
+_NO_FLAG = {"features", "channels"}
+
+
 def _meta(command: str, config: RunConfig, net=None) -> dict:
-    """Run metadata; with a network policy, also the arch it ran with."""
-    meta = {"tool": f"mapfgnn {__version__}", "command": command, "config": config.as_dict()}
+    """Run metadata: the settings the subcommand read and, with a network,
+    the arch it ran with."""
+    settings = {k: v for k, v in config.as_dict().items() if k in _READS[command]}
+    meta = {"tool": f"mapfgnn {__version__}", "command": command, "config": settings}
     if net is not None:
         meta["arch"] = net.arch.to_jsonable()
     return meta
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """defaults <- JSON config file <- explicitly passed flags."""
+    """defaults <- JSON config file <- explicitly passed flags; every key is
+    checked, including those the subcommand does not read."""
     values = RunConfig().as_dict()
     path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV)
     if path:
@@ -257,37 +285,22 @@ def _cmd_build_dataset(args, config: RunConfig) -> int:
             fov_radius=config.fov_radius,
             comm_radius=config.comm_radius,
         )
-        datastore.save_dataset(
-            os.path.join(args.out_dir, f"dataset.{name}.jsonl"),
-            ds,
-            fov_radius=config.fov_radius,
-            comm_radius=config.comm_radius,
-            meta=meta,
-        )
+        datastore.save_dataset(os.path.join(args.out_dir, f"dataset.{name}.jsonl"), ds, meta=meta)
         print(f"build-dataset: {name} split has {len(records)} cases, {len(ds)} samples")
     print(f"build-dataset: stats {stats.as_dict()}")
     return EXIT_OK
 
 
-def _load_split(data_dir: str, split: str, maps, config: RunConfig) -> Dataset:
-    """A dataset split, rejected unless built with the run's radii."""
-    ds = datastore.load_dataset(os.path.join(data_dir, f"dataset.{split}.jsonl"), maps)
-    for name in ("fov_radius", "comm_radius"):
-        if getattr(ds, name) != getattr(config, name):
-            raise ConfigError(
-                f"{split} split was built with {name}={getattr(ds, name)}, "
-                f"run config has {getattr(config, name)}"
-            )
-    return ds
-
-
 def _cmd_train(args, config: RunConfig) -> int:
+    """Trains at the train split's radii; fit rejects a valid split built
+    with others."""
     maps = datastore.load_maps(os.path.join(args.data_dir, "maps.jsonl"))
-    train_ds = _load_split(args.data_dir, "train", maps, config)
-    if os.path.exists(os.path.join(args.data_dir, "dataset.valid.jsonl")):
-        valid_ds = _load_split(args.data_dir, "valid", maps, config)
+    train_ds = datastore.load_dataset(os.path.join(args.data_dir, "dataset.train.jsonl"), maps)
+    valid_path = os.path.join(args.data_dir, "dataset.valid.jsonl")
+    if os.path.exists(valid_path):
+        valid_ds = datastore.load_dataset(valid_path, maps)
     else:
-        valid_ds = Dataset(split="valid")
+        valid_ds = replace(train_ds, split="valid", samples=[])
     os.makedirs(args.out_dir, exist_ok=True)
     train_records = None
     cases_path = os.path.join(args.data_dir, "cases.jsonl")
@@ -295,8 +308,11 @@ def _cmd_train(args, config: RunConfig) -> int:
         train_ids = train_ds.case_ids()
         pool = datastore.load_cases(cases_path, maps)
         train_records = [rec for rec in pool if rec.case_id in train_ids]
-    net = PolicyNetwork(config.arch(), seed=config.seed)
-    meta = _meta("train", config)
+    arch = replace(
+        config.arch(), fov_radius=train_ds.fov_radius, comm_radius=train_ds.comm_radius
+    )
+    net = PolicyNetwork(arch, seed=config.seed)
+    meta = _meta("train", config, net)
     weights_path = os.path.join(args.out_dir, "model.json")
     log_path = os.path.join(args.out_dir, "log.csv")
     history = []
@@ -362,8 +378,9 @@ def _cmd_eval(args, config: RunConfig) -> int:
         )
         plans.append(rec.plan)
     report = compute_metrics(trajectories, plans)
-    taps = net.arch.taps if net is not None else config.taps
-    label = f"{args.policy}:{args.split}:K{taps}"
+    label = f"{args.policy}:{args.split}"
+    if net is not None:
+        label += f":K{net.arch.taps}"
     meta = _meta("eval", config, net)
     datastore.save_report_csv(
         os.path.join(args.out_dir, "report.csv"), [(label, report)], meta=meta
@@ -495,10 +512,12 @@ _FLAG_SPELLINGS = {
 }
 
 
-def _add_config_flags(sub: argparse.ArgumentParser, *names: str) -> None:
-    """Flags overriding RunConfig fields, typed like the field's default;
-    None means 'not provided'."""
-    for name in names:
+def _add_config_flags(sub: argparse.ArgumentParser, command: str) -> None:
+    """Flags overriding the RunConfig fields the command reads, typed like
+    the field's default; None means 'not provided'."""
+    for name in _READS[command]:
+        if name in _NO_FLAG:
+            continue
         flag = _FLAG_SPELLINGS.get(name, "--" + name.replace("_", "-"))
         sub.add_argument(flag, dest=name, default=None, type=type(getattr(RunConfig, name)))
 
@@ -515,62 +534,28 @@ def build_parser() -> argparse.ArgumentParser:
     def sub(name, help_text):
         p = subs.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="JSON config file")
+        _add_config_flags(p, name)
         return p
 
     p = sub("gen-maps", "generate a pool of random grid maps")
     p.add_argument("--out", required=True)
-    _add_config_flags(p, "num_maps", "width", "height", "density", "seed")
 
     p = sub("gen-cases", "generate start/goal cases over a map pool")
     p.add_argument("--maps", required=True)
     p.add_argument("--out", required=True)
-    _add_config_flags(p, "cases_per_map", "num_robots", "seed")
 
     p = sub("expert", "solve cases optimally and store the plans")
     p.add_argument("--maps", required=True)
     p.add_argument("--cases", required=True)
     p.add_argument("--out", required=True)
-    _add_config_flags(p, "timeout_s", "workers", "seed")
 
     p = sub("build-dataset", "maps + cases + expert plans + split sample files")
     p.add_argument("--out-dir", required=True)
-    _add_config_flags(
-        p,
-        "num_maps",
-        "cases_per_map",
-        "num_robots",
-        "width",
-        "height",
-        "density",
-        "fov_radius",
-        "comm_radius",
-        "timeout_s",
-        "split_train",
-        "split_valid",
-        "split_test",
-        "seed",
-        "workers",
-    )
 
     p = sub("train", "imitation training with online-expert aggregation")
     p.add_argument("--data-dir", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--no-oe", action="store_true", help="disable aggregation")
-    _add_config_flags(
-        p,
-        "epochs",
-        "lr_max",
-        "lr_min",
-        "batch_size",
-        "l2",
-        "oe_interval",
-        "oe_cases",
-        "taps",
-        "fov_radius",
-        "comm_radius",
-        "timeout_s",
-        "seed",
-    )
 
     p = sub("eval", "roll a policy over a split and write metric CSVs")
     p.add_argument("--data-dir", required=True)
@@ -582,7 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("network", "expert-replay", "idle", "random"),
     )
     p.add_argument("--weights", default=None, help="model.json for --policy network")
-    _add_config_flags(p, "seed")
 
     p = sub("rollout", "trace a single case")
     p.add_argument("--data-dir", required=True)
@@ -594,14 +578,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("network", "expert-replay", "idle", "random"),
     )
     p.add_argument("--weights", default=None)
-    _add_config_flags(p, "seed")
 
     p = sub("oracle-check", "compare the solver against a joint-space oracle")
     p.add_argument("--instances", type=int, default=200)
     p.add_argument("--max-robots", type=int, default=3)
     p.add_argument("--max-size", type=int, default=4)
     p.add_argument("--max-density", type=float, default=0.2)
-    _add_config_flags(p, "timeout_s", "seed")
 
     p = sub("report", "convert a metric CSV into a long-format table")
     p.add_argument("--input", required=True)

@@ -311,11 +311,17 @@ def load_cases(path: str, maps: dict[str, GridMap]) -> list[CaseRecord]:
 def save_dataset(
     path: str,
     dataset: Dataset,
-    fov_radius: int = DEFAULT_FOV_RADIUS,
-    comm_radius: float = DEFAULT_COMM_RADIUS,
+    fov_radius: int | None = None,
+    comm_radius: float | None = None,
     meta=None,
 ) -> None:
-    """Samples as geometry (positions, goals, labels); load rebuilds tensors."""
+    """Samples as geometry (positions, goals, labels); load rebuilds tensors
+    at the radii the header takes from the dataset. A radius passed that
+    differs from the dataset's raises ValueError."""
+    for name, given in (("fov_radius", fov_radius), ("comm_radius", comm_radius)):
+        built = getattr(dataset, name)
+        if given is not None and given != built:
+            raise ValueError(f"{name}={given}, but the dataset was built with {built}")
     docs = [
         {
             "case_id": s.case_id,
@@ -333,8 +339,8 @@ def save_dataset(
         docs,
         meta=meta,
         split=dataset.split,
-        fov_radius=int(fov_radius),
-        comm_radius=float(comm_radius),
+        fov_radius=int(dataset.fov_radius),
+        comm_radius=float(dataset.comm_radius),
     )
 
 

@@ -56,9 +56,6 @@ class ParamStore:
             if not np.isfinite(g).all():
                 raise NonFiniteGradient(f"gradient {name} is not finite")
 
-    def num_params(self) -> int:
-        return sum(p.size for p in self.params.values())
-
     def to_jsonable(self) -> dict:
         doc = {}
         for name, arr in list(self.params.items()) + list(self.state.items()):

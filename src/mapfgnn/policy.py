@@ -7,11 +7,11 @@ away in the communication graph, and K=1 makes robots fully independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ShapeMismatch, VersionMismatch
+from .errors import ParseError, ShapeMismatch, VersionMismatch
 from .gridworld import DEFAULT_COMM_RADIUS, DEFAULT_FOV_RADIUS, NUM_ACTIONS
 from .nn_core import (
     BatchNorm2d,
@@ -67,13 +67,17 @@ class PolicyArch:
 
     @classmethod
     def from_jsonable(cls, doc: dict) -> "PolicyArch":
-        return cls(
-            fov_radius=doc["fov_radius"],
-            comm_radius=doc["comm_radius"],
-            taps=doc["taps"],
-            features=doc["features"],
-            channels=tuple(doc["channels"]),
-        )
+        """The arch a weights file records; a missing key, a value of the
+        wrong JSON type or a broken rule raises ParseError."""
+        try:
+            values = {f.name: doc[f.name] for f in fields(cls)}
+            arch = cls(**values | {"channels": tuple(values["channels"])})
+            counts = (arch.fov_radius, arch.taps, arch.features) + arch.channels
+            if not all(type(v) is int for v in counts) or type(arch.comm_radius) is not float:
+                raise TypeError("radii, taps or widths have the wrong JSON type")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"weights arch is invalid: {exc!r}")
+        return arch
 
 
 class PolicyNetwork:
@@ -155,7 +159,7 @@ class PolicyNetwork:
             raise VersionMismatch(
                 f"weights format {doc.get('format')!r}, expected {WEIGHTS_FORMAT!r}"
             )
-        net = cls(PolicyArch.from_jsonable(doc["arch"]), seed=0)
+        net = cls(PolicyArch.from_jsonable(doc.get("arch")), seed=0)
         net.store.load_jsonable(doc["params"])
         return net
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MapfGnnError, SolverTimeout
+from .errors import ConfigError, MapfGnnError, SolverTimeout
 from .executor import NetworkPolicy, rollout
 from .expert import Plan, cbs_solve, plan_to_labels, positions_at
 from .gridworld import (
@@ -337,9 +337,17 @@ def fit(
 ):
     """Full training loop; returns one stats row per epoch.
 
-    Online-expert aggregation runs after every oe_interval-th epoch when
-    train_records and maps are provided.
+    Both splits must have been built with net.arch's radii, or ConfigError
+    is raised before the first epoch. Online-expert aggregation runs after
+    every oe_interval-th epoch when train_records and maps are provided.
     """
+    arch = net.arch
+    for ds in (train_ds, valid_ds):
+        if (ds.fov_radius, ds.comm_radius) != (arch.fov_radius, arch.comm_radius):
+            raise ConfigError(
+                f"{ds.split} split was built at radii {ds.fov_radius}/{ds.comm_radius}, "
+                f"the network at {arch.fov_radius}/{arch.comm_radius}"
+            )
     adam = AdamState(net.store)
     history = []
     for epoch in range(config.epochs):

@@ -1,14 +1,17 @@
 import argparse
 import json
 import os
+import shutil
 
+import numpy as np
 import pytest
 
-from mapfgnn import cli, datastore, executor
+from mapfgnn import cli, datastore, executor, training
 from mapfgnn.cli import RunConfig, build_parser, main, resolve_config
 from mapfgnn.datastore import load_trace, read_csv, solve_case_pool
 from mapfgnn.errors import ConfigError
 from mapfgnn.executor import NetworkPolicy, compute_metrics, rollout
+from mapfgnn.gridworld import build_gso
 
 
 def parse(argv):
@@ -116,6 +119,12 @@ class TestResolveConfig:
         with pytest.raises(SystemExit):
             parse(["train", "--data-dir", "d", "--out-dir", "o", "--workers", "2"])
 
+    @pytest.mark.parametrize("flag", ["--fov-radius", "--comm-radius"])
+    def test_train_rejects_radius_flags(self, flag, capsys):
+        # train takes both radii from its dataset
+        with pytest.raises(SystemExit):
+            parse(["train", "--data-dir", "d", "--out-dir", "o", flag, "2"])
+
     @pytest.mark.parametrize("command", ["eval", "rollout"])
     @pytest.mark.parametrize("flag", ["--k", "--fov-radius", "--comm-radius"])
     def test_eval_and_rollout_reject_arch_flags(self, command, flag, capsys):
@@ -145,7 +154,7 @@ class TestResolveConfig:
             ],
             "train": [
                 "--epochs", "--lr", "--lr-min", "--batch", "--l2", "--oe-interval",
-                "--oe-cases", "--k", "--fov-radius", "--comm-radius", "--timeout-s", "--seed",
+                "--oe-cases", "--k", "--timeout-s", "--seed",
             ],
             "eval": ["--seed"],
             "rollout": ["--seed"],
@@ -277,6 +286,7 @@ class TestTrainEvalRollout:
                    "--split", "test", "--policy", "expert-replay"])
         assert rc == 0
         _, _, rows = read_csv(str(out_dir / "report.csv"), "report")
+        assert rows[0]["label"] == "expert-replay:test"
         assert float(rows[0]["alpha"]) == 1.0
         assert float(rows[0]["delta_ft"]) == 0.0
         _, _, hist_rows = read_csv(str(out_dir / "hist.csv"), "hist")
@@ -294,18 +304,6 @@ class TestTrainEvalRollout:
         assert 0.0 <= float(rows[0]["alpha"]) <= 1.0
         # K comes from the weights, which were trained with --k 2
         assert rows[0]["label"] == "network:valid:K2"
-
-    @pytest.mark.parametrize(
-        "flags", [["--fov-radius", "3"], ["--comm-radius", "2", "--oe-interval", "1"]]
-    )
-    def test_train_rejects_radii_other_than_the_dataset(self, workspace, flags, capsys):
-        tmp_path, data_dir, _, config = workspace
-        run_dir = tmp_path / "run_radius"
-        rc = main(["train", "--data-dir", str(data_dir), "--out-dir", str(run_dir),
-                   "--config", config, "--epochs", "2"] + flags)
-        assert rc == 2
-        assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
-        assert not (run_dir / "model.json").exists()
 
     def test_rollout_writes_trace(self, workspace):
         tmp_path, data_dir, _, _ = workspace
@@ -361,22 +359,63 @@ class TestTrainEvalRollout:
 
 @pytest.fixture(scope="module")
 def radius2_workspace(tmp_path_factory):
+    """A dataset built at comm radius 2, trained with no radius flag; also
+    returns the online expert's repair samples."""
     tmp_path = tmp_path_factory.mktemp("radius2")
     data_dir = build_small_dataset(tmp_path, flags=["--comm-radius", "2"])
     run_dir = tmp_path / "run"
     config = write_config(tmp_path)
-    rc = main(
-        ["train", "--data-dir", str(data_dir), "--out-dir", str(run_dir),
-         "--config", config, "--epochs", "2", "--k", "2", "--comm-radius", "2",
-         "--oe-interval", "2", "--oe-cases", "3", "--seed", "1", "--timeout-s", "30"]
-    )
+    repairs = []
+    real_expand_case = training.expand_case
+
+    def recording_expand_case(*args, **kwargs):
+        samples = real_expand_case(*args, **kwargs)
+        repairs.extend(samples)
+        return samples
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(training, "expand_case", recording_expand_case)
+        rc = main(
+            ["train", "--data-dir", str(data_dir), "--out-dir", str(run_dir),
+             "--config", config, "--epochs", "2", "--k", "2",
+             "--oe-interval", "2", "--oe-cases", "3", "--seed", "1", "--timeout-s", "30"]
+        )
     assert rc == 0
-    return tmp_path, data_dir, run_dir / "model.json", config
+    return tmp_path, data_dir, run_dir / "model.json", config, repairs
 
 
 class TestWeightsOwnTheRadius:
+    def test_train_runs_at_the_dataset_radius(self, radius2_workspace):
+        _, _, weights, _, repairs = radius2_workspace
+        doc = json.loads(weights.read_text())
+        assert doc["model"]["arch"]["comm_radius"] == 2.0
+        assert doc["meta"]["arch"] == doc["model"]["arch"]
+        assert repairs
+        for s in repairs:
+            assert np.array_equal(s.gso, build_gso(s.positions, 2.0).matrix)
+        assert any(
+            not np.array_equal(s.gso, build_gso(s.positions, 5.0).matrix) for s in repairs
+        )
+
+    def test_train_rejects_a_valid_split_at_other_radii(
+        self, workspace, radius2_workspace, capsys
+    ):
+        tmp_path, data_dir, _, config = workspace
+        # same seed, so the same maps and cases; only the radius differs
+        radius2_data_dir = radius2_workspace[1]
+        mixed = tmp_path / "mixed"
+        shutil.copytree(data_dir, mixed)
+        shutil.copy(radius2_data_dir / "dataset.valid.jsonl", mixed / "dataset.valid.jsonl")
+        run_dir = tmp_path / "run_mixed"
+        capsys.readouterr()
+        rc = main(["train", "--data-dir", str(mixed), "--out-dir", str(run_dir),
+                   "--config", config, "--epochs", "2"])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
+        assert not (run_dir / "model.json").exists()
+
     def test_eval_and_rollout_run_at_the_trained_radius(self, radius2_workspace, monkeypatch):
-        tmp_path, data_dir, weights, config = radius2_workspace
+        tmp_path, data_dir, weights, config, _ = radius2_workspace
         radii = []
         real_build_gso = executor.build_gso
 
@@ -421,7 +460,7 @@ class TestWeightsOwnTheRadius:
         assert doc["meta"]["arch"]["comm_radius"] == 2.0
 
     def test_v1_weights_are_a_version_mismatch(self, radius2_workspace, capsys):
-        tmp_path, data_dir, weights, _ = radius2_workspace
+        tmp_path, data_dir, weights, _, _ = radius2_workspace
         doc = json.loads(weights.read_text())
         doc["model"]["format"] = "mapfgnn-weights-v1"
         del doc["model"]["arch"]["comm_radius"]
@@ -433,6 +472,76 @@ class TestWeightsOwnTheRadius:
                    "--weights", str(old)])
         assert rc == 4
         assert json.loads(capsys.readouterr().err.strip())["error"] == "VersionMismatch"
+
+
+    @pytest.mark.parametrize("rule", ["missing_key", "ill_typed"])
+    def test_broken_arch_is_a_parse_error(self, radius2_workspace, rule, capsys):
+        tmp_path, data_dir, weights, _, _ = radius2_workspace
+        doc = json.loads(weights.read_text())
+        if rule == "missing_key":
+            del doc["model"]["arch"]["taps"]
+        else:
+            doc["model"]["arch"]["taps"] = "3"
+        broken = tmp_path / f"model_{rule}.json"
+        broken.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["eval", "--data-dir", str(data_dir), "--out-dir", str(tmp_path / rule),
+                   "--weights", str(broken)])
+        assert rc == 4
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "ParseError"
+
+
+def header_meta(path):
+    """The meta of an artifact's header line (CSV headers follow "# ")."""
+    line = path.read_text().splitlines()[0]
+    return json.loads(line[2:] if line.startswith("# ") else line)["meta"]
+
+
+class TestHeaders:
+    def test_meta_config_holds_exactly_the_settings_read(self, workspace, tmp_path, capsys):
+        _, data_dir, run_dir, _ = workspace
+        # a config file may set any key; a subcommand records only those it reads
+        config = write_config(tmp_path, {"comm_radius": 3.0, "width": 6})
+        maps, cases, solved = (tmp_path / n for n in ("maps.jsonl", "cases.jsonl", "s.jsonl"))
+        eval_dir = tmp_path / "eval"
+        runs = [
+            ["gen-maps", "--out", str(maps), "--num-maps", "2", "--width", "5",
+             "--height", "5"],
+            ["gen-cases", "--maps", str(maps), "--out", str(cases), "--cases-per-map", "1",
+             "--robots", "2"],
+            ["expert", "--maps", str(maps), "--cases", str(cases), "--out", str(solved)],
+            ["eval", "--data-dir", str(data_dir), "--out-dir", str(eval_dir),
+             "--split", "valid", "--weights", str(run_dir / "model.json")],
+            ["rollout", "--data-dir", str(data_dir), "--out", str(tmp_path / "trace.json"),
+             "--policy", "expert-replay"],
+            ["report", "--input", str(eval_dir / "report.csv"), "--out", str(tmp_path / "l.csv")],
+        ]
+        for argv in runs:
+            assert main(argv + ["--config", config]) == 0, argv
+        headers = {
+            "gen-maps": [maps],
+            "gen-cases": [cases],
+            "expert": [solved],
+            "build-dataset": [
+                data_dir / name
+                for name in ("maps.jsonl", "cases.jsonl", "dataset.train.jsonl",
+                             "dataset.valid.jsonl", "dataset.test.jsonl")
+            ],
+            "train": [run_dir / "model.json", run_dir / "log.csv"],
+            "eval": [eval_dir / "report.csv", eval_dir / "hist.csv"],
+            "rollout": [tmp_path / "trace.json"],
+            "report": [tmp_path / "l.csv"],
+        }
+        for command, paths in headers.items():
+            for path in paths:
+                meta = header_meta(path)
+                assert meta["command"] == command
+                assert set(meta["config"]) == set(cli._READS[command]), path
+        assert sum(len(cli._READS[command]) for command in headers) == 39
+        assert "comm_radius" not in header_meta(eval_dir / "report.csv")["config"]
+        # train and network eval record the arch they ran with
+        for path in (run_dir / "model.json", run_dir / "log.csv", eval_dir / "report.csv"):
+            assert header_meta(path)["arch"]["comm_radius"] == 5.0
 
 
 class TestOracleCheck:

@@ -278,6 +278,18 @@ class TestDatasetFile:
         assert (back.fov_radius, back.comm_radius) == (2, 3.0)
         assert back.samples[0].obs.shape[-1] == 5
 
+    def test_header_takes_the_radii_from_the_dataset(self, tmp_path):
+        maps, pool, _ = small_pool()
+        ds = expand_samples(pool, maps, comm_radius=2.0)
+        p = tmp_path / "dataset.train.jsonl"
+        save_dataset(str(p), ds)
+        back = load_dataset(str(p), maps)
+        assert back.comm_radius == 2.0
+        assert all(np.array_equal(a.gso, b.gso) for a, b in zip(ds.samples, back.samples))
+        for radii in ({"comm_radius": 5.0}, {"fov_radius": 3}):
+            with pytest.raises(ValueError):
+                save_dataset(str(p), ds, **radii)
+
     def test_split_files_share_no_case_ids(self, tmp_path):
         maps, pool, _ = small_pool()
         train, valid, test = split_dataset(pool, ratios=(0.4, 0.3, 0.3), seed=5)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mapfgnn.errors import NonFiniteGradient
+from mapfgnn.errors import ConfigError, NonFiniteGradient
 from mapfgnn.executor import IdlePolicy, PlanReplayPolicy
 from mapfgnn.expert import cbs_solve
 from mapfgnn.gridworld import build_gso, generate_case, generate_map
@@ -389,6 +389,20 @@ class TestFit:
         history = fit(net, ds, Dataset("valid"), cfg, train_records=records, maps=maps)
         with_oe = [row["epoch"] for row in history if "oe_rolled" in row]
         assert with_oe == [3, 7]
+
+    @pytest.mark.parametrize("off", ["train", "valid"])
+    def test_rejects_a_split_at_other_radii(self, off):
+        maps, records = solved_pool(num_cases=2, robots=3, seed=12)
+        splits = {"train": dataset_from(records, maps), "valid": Dataset("valid")}
+        splits[off] = replace(splits[off], comm_radius=2.0)
+        net = PolicyNetwork(TINY, seed=8)
+        before = {k: p.copy() for k, p in net.store.params.items()}
+        epochs = []
+        with pytest.raises(ConfigError, match=f"{off} split"):
+            fit(net, splits["train"], splits["valid"], TrainConfig(epochs=4, oe_interval=1),
+                train_records=records, maps=maps, on_epoch=lambda *a: epochs.append(a))
+        assert not epochs
+        assert all(np.array_equal(p, before[k]) for k, p in net.store.params.items())
 
     def test_history_columns(self):
         maps, records = solved_pool(num_cases=1, robots=2, seed=13)
