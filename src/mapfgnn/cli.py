@@ -226,7 +226,7 @@ def _cmd_gen_cases(args, config: RunConfig) -> int:
         log=lambda msg: print(msg, file=sys.stderr),
     )
     datastore.save_cases(args.out, records, meta=_meta("gen-cases", config))
-    print(f"gen-cases: wrote {len(records)} cases to {args.out} {stats.as_dict()}")
+    print(f"gen-cases: wrote {len(records)} cases to {args.out} {asdict(stats)}")
     return EXIT_OK
 
 
@@ -243,13 +243,9 @@ def _cmd_expert(args, config: RunConfig) -> int:
         log=lambda msg: print(msg, file=sys.stderr),
     )
     datastore.save_cases(args.out, solved, meta=_meta("expert", config))
-    print(f"expert: solved {len(solved)}/{len(records)} cases {stats.as_dict()}")
+    print(f"expert: solved {len(solved)}/{len(records)} cases {asdict(stats)}")
     if records and not solved:
-        print(
-            json.dumps({"error": "SolverTimeout", "message": "no case solved"}),
-            file=sys.stderr,
-        )
-        return EXIT_INFEASIBLE
+        raise SolverTimeout("no case solved")
     return EXIT_OK
 
 
@@ -268,11 +264,7 @@ def _cmd_build_dataset(args, config: RunConfig) -> int:
         log=lambda msg: print(msg, file=sys.stderr),
     )
     if not solved:
-        print(
-            json.dumps({"error": "InfeasibleCase", "message": "empty solved pool"}),
-            file=sys.stderr,
-        )
-        return EXIT_INFEASIBLE
+        raise InfeasibleCase("empty solved pool")
     meta = _meta("build-dataset", config)
     datastore.save_maps(os.path.join(args.out_dir, "maps.jsonl"), maps, meta=meta)
     datastore.save_cases(os.path.join(args.out_dir, "cases.jsonl"), solved, meta=meta)
@@ -287,7 +279,7 @@ def _cmd_build_dataset(args, config: RunConfig) -> int:
         )
         datastore.save_dataset(os.path.join(args.out_dir, f"dataset.{name}.jsonl"), ds, meta=meta)
         print(f"build-dataset: {name} split has {len(records)} cases, {len(ds)} samples")
-    print(f"build-dataset: stats {stats.as_dict()}")
+    print(f"build-dataset: stats {asdict(stats)}")
     return EXIT_OK
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -27,7 +28,7 @@ from .errors import (
     VersionMismatch,
 )
 from .executor import MetricsReport, Trajectory
-from .expert import Plan, cbs_solve, validate_plan
+from .expert import DEFAULT_TIMEOUT_S, Plan, cbs_solve, validate_plan
 from .gridworld import (
     DEFAULT_COMM_RADIUS,
     DEFAULT_FOV_RADIUS,
@@ -170,16 +171,6 @@ class PoolStats:
     infeasible: int = 0
     timeouts: int = 0
     unsolvable: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "requested": self.requested,
-            "stored": self.stored,
-            "duplicates": self.duplicates,
-            "infeasible": self.infeasible,
-            "timeouts": self.timeouts,
-            "unsolvable": self.unsolvable,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +340,13 @@ def load_dataset(path: str, maps: dict[str, GridMap]) -> Dataset:
     a free cell of the sample's map, no two robots may share a cell, and the
     labels must be a flat list of action indices."""
     header, records = _read_jsonl(path, "dataset")
-    fov = int(header.get("fov_radius", DEFAULT_FOV_RADIUS))
-    comm = float(header.get("comm_radius", DEFAULT_COMM_RADIUS))
+    fov = _require(header, "fov_radius", path, 1)
+    comm = _require(header, "comm_radius", path, 1)
+    if type(fov) is not int or fov < 1:
+        raise ParseError(f"fov_radius {fov!r} is not an integer >= 1", path=path, line=1)
+    if type(comm) not in (int, float) or not 0 < comm < math.inf:
+        raise ParseError(f"comm_radius {comm!r} is not a number > 0", path=path, line=1)
+    comm = float(comm)
     samples = []
     for doc, lineno in records:
         map_id = _require(doc, "map_id", path, lineno)
@@ -634,13 +630,15 @@ def _solve_one(args):
 def solve_case_pool(
     maps: dict[str, GridMap],
     records: list[CaseRecord],
-    timeout_s: float = 300.0,
+    timeout_s: float = DEFAULT_TIMEOUT_S,
     workers: int = 1,
     stats: PoolStats | None = None,
     log=None,
 ) -> list[CaseRecord]:
     """Attach expert plans; timeouts and unsolvable cases are dropped and
     counted. Output order follows input order regardless of worker count.
+    The one solve-and-drop rule: `expert`, `build-dataset` and the online
+    expert's repairs all solve through here.
     """
     stats = stats if stats is not None else PoolStats()
     jobs = [(maps[rec.case.map_id], rec, timeout_s) for rec in records]
@@ -674,7 +672,7 @@ def build_dataset(
     height: int,
     density: float,
     seed: int,
-    timeout_s: float = 300.0,
+    timeout_s: float = DEFAULT_TIMEOUT_S,
     workers: int = 1,
     log=None,
 ):

@@ -25,6 +25,9 @@ EDGE = "edge"
 # joint states (free_cells^N * 2^N) the oracle is willing to enumerate
 ORACLE_STATE_BOUND = 10_000_000
 
+# wall-clock seconds a CBS solve may take before SolverTimeout
+DEFAULT_TIMEOUT_S = 300.0
+
 # sentinel joint-oracle action: robot locks onto its goal, all later steps free
 _COMMIT = 5
 
@@ -186,7 +189,7 @@ def _make_plan(paths) -> Plan:
     )
 
 
-def cbs_solve(grid: GridMap, case: Case, timeout_s: float = 300.0) -> Plan:
+def cbs_solve(grid: GridMap, case: Case, timeout_s: float = DEFAULT_TIMEOUT_S) -> Plan:
     """Flowtime-optimal collision-free plan via conflict-based search.
 
     High-level nodes expand in (cost, insertion order); branching adds one

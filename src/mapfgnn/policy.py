@@ -155,12 +155,18 @@ class PolicyNetwork:
 
     @classmethod
     def from_jsonable(cls, doc: dict) -> "PolicyNetwork":
+        """The network a weights file records; a broken arch or params block
+        (missing, an entry without shape or values, a value count or stored
+        shape other than the arch's) raises ParseError."""
         if doc.get("format") != WEIGHTS_FORMAT:
             raise VersionMismatch(
                 f"weights format {doc.get('format')!r}, expected {WEIGHTS_FORMAT!r}"
             )
         net = cls(PolicyArch.from_jsonable(doc.get("arch")), seed=0)
-        net.store.load_jsonable(doc["params"])
+        try:
+            net.store.load_jsonable(doc["params"])
+        except (KeyError, TypeError, ValueError, ShapeMismatch) as exc:
+            raise ParseError(f"weights params are invalid: {exc!r}")
         return net
 
 

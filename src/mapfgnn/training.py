@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, MapfGnnError, SolverTimeout
+from .errors import ConfigError
 from .executor import NetworkPolicy, rollout
-from .expert import Plan, cbs_solve, plan_to_labels, positions_at
+from .expert import DEFAULT_TIMEOUT_S, Plan, plan_to_labels, positions_at
 from .gridworld import (
     DEFAULT_COMM_RADIUS,
     DEFAULT_FOV_RADIUS,
@@ -49,7 +49,7 @@ class TrainConfig:
     l2: float = 1e-5
     oe_interval: int = 4
     oe_cases: int = 500
-    timeout_s: float = 300.0
+    timeout_s: float = DEFAULT_TIMEOUT_S
     seed: int = 0
 
     def __post_init__(self):
@@ -278,51 +278,37 @@ def aggregate_online_expert(
 ):
     """Roll the current policy on random train cases; append expert repairs.
 
-    A failed rollout (timeout with robots off-goal) is re-solved by the
-    expert from the failure positions with the original goals; the repair's
-    timestep samples extend the train split. Other splits are never touched.
+    Each failed rollout (timeout with robots off-goal) becomes a case from
+    the failure positions to the original goals. The repairs go through the
+    dataset pipeline's solve_case_pool, which drops and logs the ones the
+    expert times out on or cannot solve, and expand_samples; their timestep
+    samples extend the train split. Other splits are never touched.
     policy_factory(record) -> policy overrides the trained policy (stubs in
     tests). Returns (cases rolled, failures, repairs added, samples added).
     """
+    # datastore imports this module at its top
+    from .datastore import CaseRecord, expand_samples, solve_case_pool
+
     rng = np.random.default_rng([config.seed, _OE_STREAM, epoch])
     k = min(config.oe_cases, len(train_records))
     picks = rng.choice(len(train_records), size=k, replace=False)
     if policy_factory is None:
         shared = NetworkPolicy(net, mode="greedy")
         policy_factory = lambda rec: shared
-    failures = 0
-    repairs = 0
-    added = 0
+    failed = []
     for idx in picks:
         rec = train_records[int(idx)]
-        grid = maps[rec.case.map_id]
-        traj = rollout(policy_factory(rec), grid, rec.case, rec.plan, seed=0)
-        if traj.success:
-            continue
-        failures += 1
-        repair_case = Case(
-            map_id=rec.case.map_id,
-            starts=traj.positions[-1],
-            goals=rec.case.goals,
-        )
-        try:
-            repair_plan = cbs_solve(grid, repair_case, config.timeout_s)
-        except (SolverTimeout, MapfGnnError) as exc:
-            if log is not None:
-                log(f"online expert skipped {rec.case_id}: {exc}")
-            continue
-        repairs += 1
-        samples = expand_case(
-            grid,
-            repair_case,
-            repair_plan,
-            case_id=f"{rec.case_id}/oe{epoch}",
-            fov_radius=net.arch.fov_radius,
-            comm_radius=net.arch.comm_radius,
-        )
-        dataset.samples.extend(samples)
-        added += len(samples)
-    return k, failures, repairs, added
+        case = rec.case
+        traj = rollout(policy_factory(rec), maps[case.map_id], case, rec.plan, seed=0)
+        if not traj.success:
+            repair = Case(case.map_id, traj.positions[-1], case.goals)
+            failed.append(CaseRecord(f"{rec.case_id}/oe{epoch}", repair))
+    repaired = solve_case_pool(maps, failed, timeout_s=config.timeout_s, log=log)
+    added = expand_samples(
+        repaired, maps, fov_radius=net.arch.fov_radius, comm_radius=net.arch.comm_radius
+    ).samples
+    dataset.samples.extend(added)
+    return k, len(failed), len(repaired), len(added)
 
 
 def fit(

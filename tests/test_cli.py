@@ -213,6 +213,30 @@ class TestExitCodes:
         assert json.loads(capsys.readouterr().err.strip())["error"] == "VersionMismatch"
 
 
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("expert", '{"error": "SolverTimeout", "message": "no case solved"}'),
+        ("build-dataset", '{"error": "InfeasibleCase", "message": "empty solved pool"}'),
+    ],
+    ids=["expert", "build-dataset"],
+)
+def test_a_stage_that_solves_nothing_exits_3(tmp_path, capsys, command, line):
+    maps, cases = tmp_path / "maps.jsonl", tmp_path / "cases.jsonl"
+    size = ["--width", "5", "--height", "5", "--seed", "3"]
+    assert main(["gen-maps", "--out", str(maps), "--num-maps", "2", *size]) == 0
+    assert main(["gen-cases", "--maps", str(maps), "--out", str(cases),
+                 "--cases-per-map", "2", "--robots", "2", "--seed", "3"]) == 0
+    args = {
+        "expert": ["--maps", str(maps), "--cases", str(cases), "--out", str(tmp_path / "s")],
+        "build-dataset": ["--out-dir", str(tmp_path / "d"), "--num-maps", "2",
+                          "--cases-per-map", "2", "--robots", "2", *size],
+    }[command]
+    capsys.readouterr()
+    assert main([command, *args, "--timeout-s", "1e-9"]) == 3
+    assert capsys.readouterr().err.splitlines()[-1] == line
+
+
 class TestGeneration:
     def test_gen_maps_embeds_resolved_config(self, tmp_path, capsys):
         out = tmp_path / "maps.jsonl"
@@ -474,14 +498,27 @@ class TestWeightsOwnTheRadius:
         assert json.loads(capsys.readouterr().err.strip())["error"] == "VersionMismatch"
 
 
-    @pytest.mark.parametrize("rule", ["missing_key", "ill_typed"])
+    @pytest.mark.parametrize(
+        "rule",
+        ["missing_key", "ill_typed", "no_params", "no_values", "value_short", "shape_differs"],
+    )
     def test_broken_arch_is_a_parse_error(self, radius2_workspace, rule, capsys):
         tmp_path, data_dir, weights, _, _ = radius2_workspace
         doc = json.loads(weights.read_text())
+        model = doc["model"]
+        entry = model["params"]["mlp.head.weight"]
         if rule == "missing_key":
-            del doc["model"]["arch"]["taps"]
+            del model["arch"]["taps"]
+        elif rule == "ill_typed":
+            model["arch"]["taps"] = "3"
+        elif rule == "no_params":
+            del model["params"]
+        elif rule == "no_values":
+            del entry["values"]
+        elif rule == "value_short":
+            entry["values"].pop()
         else:
-            doc["model"]["arch"]["taps"] = "3"
+            entry["shape"] = entry["shape"][::-1]
         broken = tmp_path / f"model_{rule}.json"
         broken.write_text(json.dumps(doc))
         capsys.readouterr()
@@ -489,6 +526,28 @@ class TestWeightsOwnTheRadius:
                    "--weights", str(broken)])
         assert rc == 4
         assert json.loads(capsys.readouterr().err.strip())["error"] == "ParseError"
+
+    @pytest.mark.parametrize("rule", ["comm_radius_zero", "no_radii"])
+    def test_broken_dataset_radii_are_a_parse_error(self, radius2_workspace, rule, capsys):
+        tmp_path, data_dir, _, config, _ = radius2_workspace
+        broken = tmp_path / f"data_{rule}"
+        shutil.copytree(data_dir, broken)
+        path = broken / "dataset.train.jsonl"
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        if rule == "comm_radius_zero":
+            header["comm_radius"] = 0.0
+        else:
+            del header["fov_radius"], header["comm_radius"]
+        path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+        run_dir = tmp_path / f"run_{rule}"
+        capsys.readouterr()
+        rc = main(["train", "--data-dir", str(broken), "--out-dir", str(run_dir),
+                   "--config", config, "--epochs", "1"])
+        assert rc == 4
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ParseError" and str(path) in err["message"]
+        assert not (run_dir / "model.json").exists()
 
 
 def header_meta(path):

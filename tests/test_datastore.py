@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -289,6 +290,38 @@ class TestDatasetFile:
         for radii in ({"comm_radius": 5.0}, {"fov_radius": 3}):
             with pytest.raises(ValueError):
                 save_dataset(str(p), ds, **radii)
+
+    @pytest.mark.parametrize(
+        "radii",
+        [
+            {"comm_radius": 0.0},
+            {"comm_radius": -1.0},
+            {"comm_radius": "5.0"},
+            {"comm_radius": True},
+            {"comm_radius": None},
+            {"fov_radius": 0},
+            {"fov_radius": 4.0},
+            {"fov_radius": "4"},
+            {"fov_radius": None},
+            {"fov_radius": None, "comm_radius": None},
+        ],
+        ids=["comm_zero", "comm_negative", "comm_string", "comm_bool", "no_comm",
+             "fov_zero", "fov_real", "fov_string", "no_fov", "no_radii"],
+    )
+    def test_header_radii_are_required_and_checked(self, tmp_path, radii):
+        maps, pool, _ = small_pool()
+        p = tmp_path / "dataset.train.jsonl"
+        save_dataset(str(p), expand_samples(pool[:1], maps))
+        lines = p.read_text().splitlines()
+        header = json.loads(lines[0])
+        for key, value in radii.items():
+            if value is None:
+                del header[key]
+            else:
+                header[key] = value
+        p.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+        with pytest.raises(ParseError, match=re.escape(str(p))):
+            load_dataset(str(p), maps)
 
     def test_split_files_share_no_case_ids(self, tmp_path):
         maps, pool, _ = small_pool()

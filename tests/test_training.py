@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mapfgnn.errors import ConfigError, NonFiniteGradient
+from mapfgnn import datastore
+from mapfgnn.errors import ConfigError, NonFiniteGradient, SolverTimeout
 from mapfgnn.executor import IdlePolicy, PlanReplayPolicy
 from mapfgnn.expert import cbs_solve
 from mapfgnn.gridworld import build_gso, generate_case, generate_map
@@ -369,6 +370,30 @@ class TestOnlineExpert:
         assert any(
             not np.array_equal(s.gso, build_gso(s.positions, 5.0).matrix) for s in repairs
         )
+
+    def test_a_repair_the_expert_drops_counts_as_failed_only(self, monkeypatch):
+        maps, records = solved_pool(num_cases=3, robots=3, seed=10)
+        ds = dataset_from(records, maps)
+        before = len(ds)
+        dropped = records[1]
+        real_cbs_solve = datastore.cbs_solve
+
+        def cbs_solve(grid, case, timeout_s):
+            if case.goals == dropped.case.goals:
+                raise SolverTimeout("stub")
+            return real_cbs_solve(grid, case, timeout_s)
+
+        monkeypatch.setattr(datastore, "cbs_solve", cbs_solve)
+        logged = []
+        rolled, failed, repaired, added = aggregate_online_expert(
+            PolicyNetwork(TINY, seed=6), ds, records, maps, TrainConfig(oe_cases=3, seed=0),
+            epoch=0, log=logged.append, policy_factory=lambda rec: IdlePolicy(),
+        )
+        assert (rolled, failed, repaired) == (3, 3, 2)
+        kept = [r for r in records if r is not dropped]
+        assert added == sum(r.plan.makespan for r in kept) == len(ds) - before
+        assert {s.case_id for s in ds.samples[before:]} == {f"{r.case_id}/oe0" for r in kept}
+        assert logged == [f"expert timeout on {dropped.case_id}/oe0"]
 
     def test_aggregation_never_removes_samples(self):
         maps, records = solved_pool(num_cases=2, robots=2, seed=11)
