@@ -68,11 +68,18 @@ def atomic_write_text(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _refuse_constant(token: str):
+    # json.loads accepts NaN, Infinity and -Infinity; the writers never emit them
+    raise ValueError(f"non-finite number {token}")
+
+
 def _parse_line(line: str, path: str, lineno: int) -> dict:
     try:
-        doc = json.loads(line)
+        doc = json.loads(line, parse_constant=_refuse_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", path=path, line=lineno)
+    except ValueError as exc:
+        raise ParseError(f"invalid JSON: {exc}", path=path, line=lineno)
     if not isinstance(doc, dict):
         raise ParseError("expected a JSON object", path=path, line=lineno)
     return doc

@@ -24,7 +24,7 @@ from .gridworld import (
     step_positions,
     team_observations,
 )
-from .policy import PolicyNetwork, policy_forward, select_action
+from .policy import ACTION_MODES, PolicyNetwork, policy_forward, select_actions
 
 HORIZON_FACTOR = 3
 DEADLOCK_WINDOW = 5
@@ -119,7 +119,8 @@ class NetworkPolicy:
     """Wraps a PolicyNetwork for rollout: observe, communicate, act.
 
     The communication radius defaults to the one the weights were trained
-    for, net.arch.comm_radius.
+    for, net.arch.comm_radius. Each step draws the whole team's actions in
+    one select_actions call.
     """
 
     def __init__(
@@ -128,6 +129,8 @@ class NetworkPolicy:
         mode: str = "greedy",
         comm_radius: float | None = None,
     ):
+        if mode not in ACTION_MODES:
+            raise ValueError(f"unknown mode {mode!r}")
         self.net = net
         self.mode = mode
         self.comm_radius = net.arch.comm_radius if comm_radius is None else comm_radius
@@ -136,7 +139,7 @@ class NetworkPolicy:
         obs = team_observations(grid, positions, case.goals, self.net.arch.fov_radius)
         gso = build_gso(positions, self.comm_radius).matrix
         probs = policy_forward(self.net, obs, gso)
-        return [select_action(row, self.mode, rng) for row in probs]
+        return select_actions(probs, self.mode, rng)
 
 
 class RandomPolicy:

@@ -8,6 +8,7 @@ which gradient_check verifies against central finite differences.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import OrderedDict
 
@@ -77,21 +78,28 @@ class ParamStore:
                 raise ShapeMismatch(
                     f"{name}: stored shape {entry['shape']} vs expected {arr.shape}"
                 )
-            arr[...] = np.asarray(entry["values"], dtype=np.float64).reshape(arr.shape)
+            values = np.asarray(entry["values"], dtype=np.float64).reshape(arr.shape)
+            # a JSON null reads as NaN; the writers never emit a non-finite value
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name}: stored values are not all finite")
+            arr[...] = values
 
 
+@functools.cache
 def _tap_matrix(h: int, w: int) -> np.ndarray:
     """0/1 matrix (9, h*w*h*w) from 3x3 taps to (input cell, output cell) pairs.
 
     Column (yi, xi, yo, xo) holds a single 1 at tap (yi-yo+1, xi-xo+1) when
     input cell (yi, xi) lies in output cell (yo, xo)'s window, and is all
     zeros otherwise. Multiplying by it moves each weight without rounding.
+    Built once per shape and shared, so it is read-only.
     """
     yi, xi, yo, xo = np.indices((h, w, h, w)).reshape(4, -1)
     ky, kx = yi - yo + 1, xi - xo + 1
     pairs = np.flatnonzero((ky >= 0) & (ky < 3) & (kx >= 0) & (kx < 3))
     taps = np.zeros((9, h * w * h * w))
     taps[ky[pairs] * 3 + kx[pairs], pairs] = 1.0
+    taps.flags.writeable = False
     return taps
 
 
@@ -103,9 +111,17 @@ class Conv2d:
     zero-padded 3x3 neighbourhood becomes one row of a GEMM with the weight.
     On a smaller map most of those taps would multiply padding, so the
     weight is unrolled instead into a (c*h*w, c_out*h*w) matrix holding only
-    the taps that land on real cells (on a 1x1 map, just the centre tap) and
-    the flattened input takes one GEMM with it; backward folds the unrolled
-    gradient back onto the 3x3 taps.
+    the taps that land on real cells and the flattened input takes one GEMM
+    with it; backward folds the unrolled gradient back onto the 3x3 taps. On
+    a 1x1 map only the centre tap lands, so the unrolled weight is that
+    slice of the weight, transposed.
+
+    An eval forward (train False) on a small map other than 1x1 keeps the
+    unrolled matrix with a copy of the weight it came from, and reuses it
+    while the weight still equals that copy. Every weight update (optimizer
+    step, weight load, finite-difference probe) writes the weight in place,
+    so the comparison sees it and nothing needs invalidating. A train
+    forward always rebuilds.
 
     With needs_input_grad False (a layer whose input is data rather than an
     activation), backward accumulates the parameter gradients only and
@@ -120,6 +136,8 @@ class Conv2d:
         self.gbias = np.zeros_like(self.bias)
         self.needs_input_grad = True
         self._cache = None
+        # (h, w, copy of the weight, unrolled matrix built from it)
+        self._memo = None
 
     def parameters(self):
         return [("weight", self.weight, self.gweight), ("bias", self.bias, self.gbias)]
@@ -135,7 +153,7 @@ class Conv2d:
         b, c, h, w = x.shape
         c_out = self.weight.shape[0]
         if h * w < 9:
-            unrolled = self._unrolled_weight(h, w)
+            unrolled = self._unrolled_weight(h, w, memoise=not train)
             rows = x.reshape(b, c * h * w)
             # numpy sends a one-row product to gemv, which rounds differently
             # from gemm; two copies of the row keep it on gemm, so a robot's
@@ -152,13 +170,24 @@ class Conv2d:
         self._cache = (cols, x.shape, None)
         return out.transpose(0, 2, 1).reshape(b, c_out, h, w)
 
-    def _unrolled_weight(self, h: int, w: int) -> np.ndarray:
+    def _unrolled_weight(self, h: int, w: int, memoise: bool) -> np.ndarray:
+        # every result is contiguous, so that every batch size takes the same
+        # gemm kernel
+        if h * w == 1:
+            return np.ascontiguousarray(self.weight[:, :, 1, 1].T)
+        if memoise and self._memo is not None:
+            mh, mw, source, unrolled = self._memo
+            if (mh, mw) == (h, w) and np.array_equal(source, self.weight):
+                return unrolled
         c_out, c = self.weight.shape[:2]
         placed = self.weight.reshape(c_out, c, 9) @ _tap_matrix(h, w)
         # (co, ci, yi, xi, yo, xo) -> rows (ci, yi, xi), columns (co, yo, xo)
         placed = placed.reshape(c_out, c, h, w, h, w).transpose(1, 2, 3, 0, 4, 5)
-        # contiguous, so that every batch size takes the same gemm kernel
-        return np.ascontiguousarray(placed.reshape(c * h * w, c_out * h * w))
+        unrolled = np.ascontiguousarray(placed.reshape(c * h * w, c_out * h * w))
+        if memoise:
+            unrolled.flags.writeable = False
+            self._memo = (h, w, self.weight.copy(), unrolled)
+        return unrolled
 
     def backward(self, gout: np.ndarray) -> np.ndarray | None:
         inputs, (b, c, h, w), unrolled = self._cache

@@ -177,16 +177,35 @@ def policy_forward(
     return softmax(net.forward(obs, gso, train=False))
 
 
-def select_action(
+ACTION_MODES = ("greedy", "sample")
+
+
+def select_actions(
     probs: np.ndarray, mode: str = "greedy", rng: np.random.Generator | None = None
-) -> int:
-    """Greedy takes the argmax (lowest index on ties); sample draws from probs."""
+) -> list[int]:
+    """One action per row of (N, A) probs.
+
+    Greedy takes each row's argmax (lowest index on ties). Sample normalises
+    each row and draws from it the way Generator.choice(A, p=row) does (cdf,
+    one uniform, right-side search), with the N uniforms taken in one call:
+    the picks and the generator's next state equal N such choice calls in
+    row order, and a row that choice would reject (a NaN or negative entry,
+    or a zero sum) raises ValueError.
+    """
     if mode == "greedy":
-        return int(np.argmax(probs))
-    if mode == "sample":
-        if rng is None:
-            raise ValueError("sample mode needs a generator")
-        p = np.asarray(probs, dtype=np.float64)
-        p = p / p.sum()
-        return int(rng.choice(p.size, p=p))
-    raise ValueError(f"unknown mode {mode!r}")
+        return np.argmax(probs, axis=1).tolist()
+    if mode != "sample":
+        raise ValueError(f"unknown mode {mode!r}")
+    if rng is None:
+        raise ValueError("sample mode needs a generator")
+    p = np.asarray(probs, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        p = p / p.sum(axis=1, keepdims=True)
+    # NaN (from a NaN or infinite entry, or a zero sum) fails the comparison too
+    if not (p >= 0).all():
+        raise ValueError("probabilities must be non-negative with a positive finite sum")
+    cdf = p.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    u = rng.random(p.shape[0])
+    # right-side searchsorted of each row's uniform in its non-decreasing cdf
+    return (cdf <= u[:, None]).sum(axis=1).tolist()

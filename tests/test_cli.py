@@ -500,7 +500,8 @@ class TestWeightsOwnTheRadius:
 
     @pytest.mark.parametrize(
         "rule",
-        ["missing_key", "ill_typed", "no_params", "no_values", "value_short", "shape_differs"],
+        ["missing_key", "ill_typed", "no_params", "no_values", "value_short", "shape_differs",
+         "null_value", "nan_token"],
     )
     def test_broken_arch_is_a_parse_error(self, radius2_workspace, rule, capsys):
         tmp_path, data_dir, weights, _, _ = radius2_workspace
@@ -517,6 +518,11 @@ class TestWeightsOwnTheRadius:
             del entry["values"]
         elif rule == "value_short":
             entry["values"].pop()
+        elif rule == "null_value":
+            entry["values"][0] = None
+        elif rule == "nan_token":
+            # json.dumps spells it NaN, a token json.loads would accept
+            entry["values"][0] = float("nan")
         else:
             entry["shape"] = entry["shape"][::-1]
         broken = tmp_path / f"model_{rule}.json"

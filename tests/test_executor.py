@@ -17,8 +17,16 @@ from mapfgnn.executor import (
     shield_with_stats,
 )
 from mapfgnn.expert import Plan, cbs_solve, detect_first_conflict
-from mapfgnn.gridworld import Case, GridMap, generate_case, generate_map
-from mapfgnn.policy import PolicyArch, PolicyNetwork
+from mapfgnn.gridworld import (
+    Case,
+    GridMap,
+    build_gso,
+    generate_case,
+    generate_map,
+    team_observations,
+)
+from mapfgnn.nn_core import Conv2d
+from mapfgnn.policy import PolicyArch, PolicyNetwork, policy_forward
 
 RIGHT, LEFT, UP, DOWN = 4, 2, 1, 3
 
@@ -160,6 +168,52 @@ class TestRollout:
         a = rollout(RandomPolicy(), m, case, plan, seed=9)
         b = rollout(RandomPolicy(), m, case, plan, seed=9)
         assert a == b
+
+
+def rebuilt_unrolled_weight(conv, h, w, memoise):
+    """Conv2d's small-map weight rebuilt through the tap matrix on every
+    call, ignoring memoise: the arithmetic before the eval memo and the 1x1
+    slice."""
+    c_out, c = conv.weight.shape[:2]
+    yi, xi, yo, xo = np.indices((h, w, h, w)).reshape(4, -1)
+    ky, kx = yi - yo + 1, xi - xo + 1
+    pairs = np.flatnonzero((ky >= 0) & (ky < 3) & (kx >= 0) & (kx < 3))
+    taps = np.zeros((9, h * w * h * w))
+    taps[ky[pairs] * 3 + kx[pairs], pairs] = 1.0
+    placed = conv.weight.reshape(c_out, c, 9) @ taps
+    placed = placed.reshape(c_out, c, h, w, h, w).transpose(1, 2, 3, 0, 4, 5)
+    return np.ascontiguousarray(placed.reshape(c * h * w, c_out * h * w))
+
+
+class ScalarDrawPolicy:
+    """NetworkPolicy's step with one Generator.choice (or argmax) per robot."""
+
+    def __init__(self, net, mode):
+        self.net, self.mode = net, mode
+
+    def act(self, grid, case, positions, t, rng):
+        obs = team_observations(grid, positions, case.goals, self.net.arch.fov_radius)
+        probs = policy_forward(self.net, obs, build_gso(positions, self.net.arch.comm_radius).matrix)
+        if self.mode == "greedy":
+            return [int(np.argmax(row)) for row in probs]
+        return [int(rng.choice(row.size, p=row / row.sum())) for row in probs]
+
+
+class TestNetworkPolicyEquivalence:
+    @pytest.mark.parametrize("mode", ["sample", "greedy"])
+    def test_rollout_equals_the_scalar_rebuild_reference(self, mode, monkeypatch):
+        m = generate_map(20, 20, 0.1, seed=11)
+        case = generate_case(m, 10, seed=12)
+        plan = cbs_solve(m, case)
+        net = PolicyNetwork(PolicyArch(), seed=13)
+        with monkeypatch.context() as patched:
+            patched.setattr(Conv2d, "_unrolled_weight", rebuilt_unrolled_weight)
+            expected = rollout(ScalarDrawPolicy(net, mode), m, case, plan, seed=14)
+        got = rollout(NetworkPolicy(net, mode=mode), m, case, plan, seed=14)
+        assert len(set(expected.positions)) > 1
+        assert got.positions == expected.positions
+        assert got.shielded == expected.shielded
+        assert got.arrivals == expected.arrivals
 
 
 def one_robot_traj(arrival, t_max, success):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from mapfgnn import nn_core, training
 from mapfgnn.errors import NonFiniteGradient, ShapeMismatch
 from mapfgnn.nn_core import (
     BatchNorm2d,
@@ -44,6 +45,25 @@ def reference_conv(conv, x):
     cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(b, h * w, c * 9)
     out = cols @ conv.weight.reshape(conv.weight.shape[0], c * 9).T + conv.bias
     return out.transpose(0, 2, 1).reshape(b, -1, h, w)
+
+
+def reference_unrolled_forward(conv, x):
+    """Small-map forward that rebuilds the unrolled weight from the 3x3 taps
+    on every call, through the 0/1 tap matrix; bit-for-bit the layer's
+    arithmetic, with no memo and no 1x1 slice."""
+    b, c, h, w = x.shape
+    c_out = conv.weight.shape[0]
+    yi, xi, yo, xo = np.indices((h, w, h, w)).reshape(4, -1)
+    ky, kx = yi - yo + 1, xi - xo + 1
+    pairs = np.flatnonzero((ky >= 0) & (ky < 3) & (kx >= 0) & (kx < 3))
+    taps = np.zeros((9, h * w * h * w))
+    taps[ky[pairs] * 3 + kx[pairs], pairs] = 1.0
+    placed = conv.weight.reshape(c_out, c, 9) @ taps
+    placed = placed.reshape(c_out, c, h, w, h, w).transpose(1, 2, 3, 0, 4, 5)
+    unrolled = np.ascontiguousarray(placed.reshape(c * h * w, c_out * h * w))
+    rows = x.reshape(b, c * h * w)
+    out = (np.repeat(rows, 2, axis=0) if b == 1 else rows) @ unrolled
+    return (out[:b] + np.repeat(conv.bias, h * w)).reshape(b, c_out, h, w)
 
 
 def reference_maxpool(x, gout):
@@ -140,6 +160,87 @@ class TestConv2d:
             assert data.backward(coef) is None
             assert np.array_equal(data.gweight, full.gweight)
             assert np.array_equal(data.gbias, full.gbias)
+
+
+class TestConv2dEvalMemo:
+    """Eval forwards on small maps reuse the unrolled weight; every output
+    must still be bit-identical to a per-call rebuild."""
+
+    def build(self, h, w, rows, seed=31):
+        rng = np.random.default_rng(seed)
+        conv = Conv2d(5, 7, rng)
+        x = rng.normal(size=(rows, 5, h, w))
+        return conv, x, rng
+
+    def assert_matches(self, conv, x, train=False):
+        out = conv.forward(x, train=train)
+        assert np.array_equal(out, reference_unrolled_forward(conv, x))
+
+    @pytest.mark.parametrize("rows", [1, 3, 10])
+    @pytest.mark.parametrize("h,w", [(2, 2), (1, 1)])
+    def test_after_the_memo_fills(self, h, w, rows):
+        conv, x, _ = self.build(h, w, rows)
+        for _ in range(3):
+            self.assert_matches(conv, x)
+        if (h, w) == (2, 2):
+            # the second and third calls used the matrix the first one kept
+            assert conv._cache[2] is conv._memo[3]
+
+    @pytest.mark.parametrize("rows", [1, 3, 10])
+    @pytest.mark.parametrize("h,w", [(2, 2), (1, 1)])
+    def test_after_an_in_place_weight_edit(self, h, w, rows):
+        conv, x, _ = self.build(h, w, rows)
+        self.assert_matches(conv, x)
+        for index in [(0, 0, 1, 1), (6, 4, 0, 2), (3, 2, 2, 0)]:
+            conv.weight[index] += 0.25
+            self.assert_matches(conv, x)
+
+    @pytest.mark.parametrize("rows", [1, 3, 10])
+    @pytest.mark.parametrize("h,w", [(2, 2), (1, 1)])
+    def test_after_an_adam_step(self, h, w, rows):
+        conv, x, rng = self.build(h, w, rows)
+        store = ParamStore()
+        store.add_layer("conv", conv)
+        adam = training.AdamState(store)
+        self.assert_matches(conv, x)
+        before = conv.weight.copy()
+        conv.gweight[...] = rng.normal(size=conv.weight.shape)
+        training.adam_step(store, adam, 1e-3, training.TrainConfig())
+        assert not np.array_equal(conv.weight, before)
+        self.assert_matches(conv, x)
+
+    @pytest.mark.parametrize("rows", [1, 3, 10])
+    @pytest.mark.parametrize("h,w", [(2, 2), (1, 1)])
+    def test_after_a_weight_load(self, h, w, rows):
+        conv, x, _ = self.build(h, w, rows)
+        other, _, _ = self.build(h, w, rows, seed=32)
+        store, source = ParamStore(), ParamStore()
+        store.add_layer("conv", conv)
+        source.add_layer("conv", other)
+        self.assert_matches(conv, x)
+        store.load_jsonable(source.to_jsonable())
+        assert np.array_equal(conv.weight, other.weight)
+        self.assert_matches(conv, x)
+
+    @pytest.mark.parametrize("rows", [1, 3, 10])
+    @pytest.mark.parametrize("h,w", [(2, 2), (1, 1)])
+    def test_a_train_forward_never_reads_a_stale_matrix(self, h, w, rows):
+        conv, x, _ = self.build(h, w, rows)
+        original = conv.weight.copy()
+        self.assert_matches(conv, x)
+        conv.weight[1, 1, 1, 1] -= 0.5
+        self.assert_matches(conv, x, train=True)
+        # back to the memoised weight: eval reuses the kept matrix, still exact
+        conv.weight[...] = original
+        self.assert_matches(conv, x)
+        conv.weight[2, 3, 0, 0] += 0.5
+        self.assert_matches(conv, x, train=True)
+        self.assert_matches(conv, x)
+
+    def test_tap_matrix_is_built_once_per_shape_and_read_only(self):
+        assert nn_core._tap_matrix(2, 2) is nn_core._tap_matrix(2, 2)
+        with pytest.raises(ValueError):
+            nn_core._tap_matrix(2, 2)[0, 0] = 2.0
 
 
 class TestBatchNorm2d:
@@ -479,6 +580,14 @@ class TestParamStore:
         doc = store.to_jsonable()
         doc["conv1.bias"]["shape"] = [7]
         with pytest.raises(ShapeMismatch):
+            store.load_jsonable(doc)
+
+    @pytest.mark.parametrize("bad", [None, math.nan, math.inf, -math.inf])
+    def test_load_rejects_non_finite_values(self, bad):
+        store, conv, _ = self.build()
+        doc = store.to_jsonable()
+        doc["conv1.weight"]["values"][3] = bad
+        with pytest.raises(ValueError, match="conv1.weight"):
             store.load_jsonable(doc)
 
     def test_load_rejects_missing_names(self):

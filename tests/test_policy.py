@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mapfgnn.errors import ShapeMismatch, VersionMismatch
+from mapfgnn.executor import NetworkPolicy
 from mapfgnn.gridworld import build_gso
 from mapfgnn.nn_core import Conv2d, cross_entropy, gradient_check, one_hot
 from mapfgnn.policy import (
     PolicyArch,
     PolicyNetwork,
     policy_forward,
-    select_action,
+    select_actions,
 )
 
 TINY = PolicyArch(channels=(4, 4, 8, 8, 16, 16), features=16, taps=2)
@@ -131,25 +134,111 @@ class TestEquivarianceLocality:
         assert np.array_equal(out[:2], base[:2])
 
 
+def select_action(probs, mode="greedy", rng=None):
+    """Scalar reference for one row: argmax, or one Generator.choice draw."""
+    if mode == "greedy":
+        return int(np.argmax(probs))
+    p = np.asarray(probs, dtype=np.float64)
+    p = p / p.sum()
+    return int(rng.choice(p.size, p=p))
+
+
+class ScriptedUniforms(np.random.Generator):
+    """Generator whose random() hands out a fixed list of uniforms, so a
+    draw can land exactly on a cdf step; Generator.choice takes its uniform
+    from random() too."""
+
+    def __init__(self, uniforms):
+        super().__init__(np.random.PCG64(0))
+        self.uniforms = list(uniforms)
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        shape = () if size is None else size
+        values = [self.uniforms.pop(0) for _ in range(int(np.prod(shape)))]
+        return np.array(values).reshape(shape)
+
+
+# probability rows as the policy emits them, plus rows with exact zeros and ties
+prob_rows = st.lists(
+    st.one_of(
+        st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5).filter(lambda r: sum(r) > 0),
+        st.lists(st.sampled_from([0.0, 0.25, 0.5]), min_size=5, max_size=5).filter(
+            lambda r: sum(r) > 0
+        ),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
 class TestSelectAction:
     def test_point_mass(self):
-        probs = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
-        assert select_action(probs, "greedy") == 0
-        assert select_action(probs, "sample", np.random.default_rng(0)) == 0
+        probs = np.array([[1.0, 0.0, 0.0, 0.0, 0.0]])
+        assert select_actions(probs, "greedy") == [0]
+        assert select_actions(probs, "sample", np.random.default_rng(0)) == [0]
 
     def test_greedy_tie_breaks_low(self):
-        probs = np.full(5, 0.2)
-        assert select_action(probs, "greedy") == 0
+        probs = np.array([np.full(5, 0.2), [0.0, 0.4, 0.1, 0.4, 0.1]])
+        assert select_actions(probs, "greedy") == [0, 1]
 
     def test_sampling_reproducible(self):
-        probs = np.array([0.1, 0.2, 0.3, 0.2, 0.2])
-        a = [select_action(probs, "sample", np.random.default_rng(7)) for _ in range(10)]
-        b = [select_action(probs, "sample", np.random.default_rng(7)) for _ in range(10)]
+        probs = np.tile([0.1, 0.2, 0.3, 0.2, 0.2], (10, 1))
+        a = select_actions(probs, "sample", np.random.default_rng(7))
+        b = select_actions(probs, "sample", np.random.default_rng(7))
         assert a == b
 
     def test_unknown_mode_raises(self):
         with pytest.raises(ValueError):
-            select_action(np.full(5, 0.2), "other")
+            select_actions(np.full((1, 5), 0.2), "other")
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=prob_rows, seed=st.integers(0, 2**32 - 1))
+    def test_batched_draw_equals_one_choice_per_row(self, rows, seed):
+        probs = np.array(rows)
+        rng_batched, rng_scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        batched = select_actions(probs, "sample", rng_batched)
+        scalar = [select_action(row, "sample", rng_scalar) for row in probs]
+        assert batched == scalar
+        # the generator is left exactly where the per-row draws leave it
+        assert rng_batched.random() == rng_scalar.random()
+        assert select_actions(probs, "greedy") == [select_action(row) for row in probs]
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=prob_rows, data=st.data())
+    def test_batched_draw_equals_choice_at_cdf_boundaries(self, rows, data):
+        probs = np.array(rows)
+        uniforms = []
+        for row in probs:
+            cdf = np.cumsum(row / row.sum())
+            cdf /= cdf[-1]
+            uniforms.append(
+                data.draw(
+                    st.one_of(
+                        st.sampled_from([0.0, np.nextafter(1.0, 0.0), *cdf[cdf < 1.0]]),
+                        st.floats(0.0, 1.0, exclude_max=True),
+                    )
+                )
+            )
+        batched = select_actions(probs, "sample", ScriptedUniforms(uniforms))
+        scripted = ScriptedUniforms(uniforms)
+        assert batched == [select_action(row, "sample", scripted) for row in probs]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[0.2, 0.2, np.nan, 0.2, 0.2], [0.2, 0.2, -0.1, 0.2, 0.2], [0.0] * 5],
+        ids=["nan", "negative", "zero_sum"],
+    )
+    def test_nan_or_negative_row_raises(self, bad):
+        probs = np.full((3, 5), 0.2)
+        probs[1] = bad
+        with pytest.raises(ValueError), np.errstate(all="ignore"):
+            select_action(probs[1], "sample", np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            select_actions(probs, "sample", np.random.default_rng(0))
+
+    def test_unknown_mode_fails_when_the_policy_is_built(self):
+        with pytest.raises(ValueError, match="other"):
+            NetworkPolicy(PolicyNetwork(TINY, seed=0), mode="other")
 
 
 class TestSerialization:
