@@ -177,10 +177,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if path:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+                doc = json.load(fh, parse_constant=datastore.refuse_constant)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}")
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError or a refused constant
             raise ConfigError(f"config file is not valid JSON: {exc}")
         if not isinstance(doc, dict):
             raise ConfigError("config file must hold a JSON object")

@@ -68,14 +68,15 @@ def atomic_write_text(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _refuse_constant(token: str):
-    # json.loads accepts NaN, Infinity and -Infinity; the writers never emit them
+def refuse_constant(token: str):
+    """parse_constant hook: json.loads accepts NaN, Infinity and -Infinity,
+    which no file this program reads may hold (the writers never emit them)."""
     raise ValueError(f"non-finite number {token}")
 
 
 def _parse_line(line: str, path: str, lineno: int) -> dict:
     try:
-        doc = json.loads(line, parse_constant=_refuse_constant)
+        doc = json.loads(line, parse_constant=refuse_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", path=path, line=lineno)
     except ValueError as exc:

@@ -168,17 +168,6 @@ class PlanReplayPolicy:
         return [IDLE] * len(positions)
 
 
-class ScriptedPolicy:
-    """Plays a fixed list of action vectors, repeating the last one."""
-
-    def __init__(self, script):
-        self.script = [list(step) for step in script]
-
-    def act(self, grid, case, positions, t, rng):
-        step = self.script[min(t, len(self.script) - 1)]
-        return list(step)
-
-
 def rollout(
     policy,
     grid: GridMap,

@@ -106,22 +106,34 @@ def _tap_matrix(h: int, w: int) -> np.ndarray:
 class Conv2d:
     """3x3 cross-correlation, stride 1, zero padding 1; spatial size preserved.
 
-    The path follows the input's spatial size. A map with at least as many
-    cells as the kernel has taps (h*w >= 9) runs im2col: every cell's
-    zero-padded 3x3 neighbourhood becomes one row of a GEMM with the weight.
-    On a smaller map most of those taps would multiply padding, so the
-    weight is unrolled instead into a (c*h*w, c_out*h*w) matrix holding only
-    the taps that land on real cells and the flattened input takes one GEMM
-    with it; backward folds the unrolled gradient back onto the 3x3 taps. On
-    a 1x1 map only the centre tap lands, so the unrolled weight is that
-    slice of the weight, transposed.
+    Two paths, chosen by the map's cell count and the train flag alone, never
+    by the batch size. Unrolled: the weight becomes a (c*h*w, c_out*h*w)
+    matrix holding only the taps that land on real cells, the flattened
+    input takes one dense GEMM with it, and backward folds the unrolled
+    gradient back onto the 3x3 taps. On a 1x1 map only the centre tap lands,
+    so the unrolled weight is that slice of the weight, transposed. im2col:
+    every cell's zero-padded 3x3 neighbourhood becomes one row of a GEMM with
+    the weight.
 
-    An eval forward (train False) on a small map other than 1x1 keeps the
-    unrolled matrix with a copy of the weight it came from, and reuses it
-    while the weight still equals that copy. Every weight update (optimizer
-    step, weight load, finite-difference probe) writes the weight in place,
-    so the comparison sees it and nothing needs invalidating. A train
-    forward always rebuilds.
+    A map with fewer cells than the kernel has taps (h*w < 9) always
+    unrolls, since most im2col taps would multiply padding. A train forward
+    also unrolls a map of up to 16 cells (the 4x4 maps after the first
+    pool): at training batch sizes the one wide GEMM beats im2col's window
+    copy and narrow per-row GEMMs despite its extra zero taps. An eval
+    forward keeps im2col there, because a few-row step would read a large
+    matrix for little work. Larger maps always run im2col.
+
+    The unrolled output is contiguous NCHW. The im2col output is an
+    NCHW-shaped view of the GEMM's own channels-last (b, h*w, c_out) result,
+    with no copy, and its backward reads a channels-last gradient without a
+    copy. Both paths take an input and a gradient of any layout.
+
+    An eval forward on a small map other than 1x1 keeps the unrolled matrix
+    with a copy of the weight it came from, and reuses it while the weight
+    still equals that copy. Every weight update (optimizer step, weight
+    load, finite-difference probe) writes the weight in place, so the
+    comparison sees it and nothing needs invalidating. A train forward
+    always rebuilds.
 
     With needs_input_grad False (a layer whose input is data rather than an
     activation), backward accumulates the parameter gradients only and
@@ -152,21 +164,23 @@ class Conv2d:
             )
         b, c, h, w = x.shape
         c_out = self.weight.shape[0]
-        if h * w < 9:
+        if h * w < 9 or (train and h * w <= 16):
             unrolled = self._unrolled_weight(h, w, memoise=not train)
             rows = x.reshape(b, c * h * w)
             # numpy sends a one-row product to gemv, which rounds differently
             # from gemm; two copies of the row keep it on gemm, so a robot's
             # features do not depend on the batch it is encoded in
-            out = (np.repeat(rows, 2, axis=0) if b == 1 else rows) @ unrolled
+            out = ((np.repeat(rows, 2, axis=0) if b == 1 else rows) @ unrolled)[:b]
+            out += np.repeat(self.bias, h * w)
             # (flattened input rows or im2col columns, input shape, unrolled weight)
             self._cache = (rows, x.shape, unrolled)
-            return (out[:b] + np.repeat(self.bias, h * w)).reshape(b, c_out, h, w)
+            return out.reshape(b, c_out, h, w)
         # channels-last padding: each cell's window is already (c, 3, 3) in order
         padded = np.zeros((b, h + 2, w + 2, c))
         padded[:, 1:-1, 1:-1] = x.transpose(0, 2, 3, 1)
         cols = sliding_window_view(padded, (3, 3), axis=(1, 2)).reshape(b, h * w, c * 9)
-        out = cols @ self.weight.reshape(c_out, c * 9).T + self.bias
+        out = cols @ self.weight.reshape(c_out, c * 9).T
+        out += self.bias
         self._cache = (cols, x.shape, None)
         return out.transpose(0, 2, 1).reshape(b, c_out, h, w)
 
@@ -192,7 +206,7 @@ class Conv2d:
     def backward(self, gout: np.ndarray) -> np.ndarray | None:
         inputs, (b, c, h, w), unrolled = self._cache
         c_out = self.weight.shape[0]
-        self.gbias += gout.sum(axis=(0, 2, 3))
+        self.gbias += np.einsum("bchw->c", gout)
         if unrolled is not None:
             g2 = gout.reshape(b, c_out * h * w)
             gplaced = (inputs.T @ g2).reshape(c, h, w, c_out, h, w)
@@ -218,7 +232,12 @@ class Conv2d:
 class BatchNorm2d:
     """Per-channel normalization over (batch, height, width).
 
-    Statistics and gradients reduce over a (B, C, H*W) view of the input.
+    Input and gradient may have any strides; statistics and gradients reduce
+    over the arrays as they lie in memory, with no reshaping copy. Forward
+    centres the input into one buffer that takes the input's layout,
+    normalises it there in place (it is the xhat backward needs) and writes
+    the output once; backward builds the input gradient in one buffer. Eval
+    mode is element-wise: ((x - running_mean) * inv_std) * gamma + beta.
     """
 
     def __init__(self, channels: int):
@@ -241,38 +260,43 @@ class BatchNorm2d:
             raise ShapeMismatch(
                 f"batchnorm2d expects (B,{self.gamma.shape[0]},H,W), got {x.shape}"
             )
-        x3 = x.reshape(x.shape[0], x.shape[1], -1)
         if train:
-            m = x3.shape[0] * x3.shape[2]
-            mean = np.einsum("bcs->c", x3) / m
-            centred = x3 - mean[None, :, None]
-            var = np.einsum("bcs,bcs->c", centred, centred) / m
+            m = x.size // x.shape[1]
+            mean = np.einsum("bchw->c", x) / m
+        else:
+            mean = self.running_mean
+        xhat = x - mean[:, None, None]
+        if train:
+            var = np.einsum("bchw,bchw->c", xhat, xhat) / m
             unbiased = var * m / (m - 1) if m > 1 else var
             self.running_mean[...] = (1 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean
             self.running_var[...] = (1 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * unbiased
         else:
-            mean = self.running_mean
             var = self.running_var
-            centred = x3 - mean[None, :, None]
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = centred * inv_std[None, :, None]
+        xhat *= inv_std[:, None, None]
         self._cache = (xhat, inv_std, train)
-        out = self.gamma[None, :, None] * xhat + self.beta[None, :, None]
-        return out.reshape(x.shape)
+        out = xhat * self.gamma[:, None, None]
+        out += self.beta[:, None, None]
+        return out
 
     def backward(self, gout: np.ndarray) -> np.ndarray:
         xhat, inv_std, train = self._cache
-        g3 = gout.reshape(xhat.shape)
-        gsum = g3.sum(axis=(0, 2))
-        gxsum = np.einsum("bcs,bcs->c", g3, xhat)
+        gsum = np.einsum("bchw->c", gout)
+        gxsum = np.einsum("bchw,bchw->c", gout, xhat)
         self.gbeta += gsum
         self.ggamma += gxsum
-        scale = (self.gamma * inv_std)[None, :, None]
+        scale = (self.gamma * inv_std)[:, None, None]
         if not train:
-            return (scale * g3).reshape(gout.shape)
-        m = xhat.shape[0] * xhat.shape[2]
-        gin = scale * (g3 - (gsum[None, :, None] + xhat * gxsum[None, :, None]) / m)
-        return gin.reshape(gout.shape)
+            return scale * gout
+        m = xhat.size // xhat.shape[1]
+        # scale * (gout - (gsum + xhat * gxsum) / m), built in one buffer
+        gin = xhat * gxsum[:, None, None]
+        gin += gsum[:, None, None]
+        gin /= m
+        np.subtract(gout, gin, out=gin)
+        gin *= scale
+        return gin
 
 
 class ReLU:
@@ -328,7 +352,11 @@ class MaxPool2d:
     def backward(self, gout: np.ndarray) -> np.ndarray:
         idx, in_shape = self._cache
         ho, wo = gout.shape[2:]
-        gin = np.zeros(in_shape)
+        b, c, h, w = in_shape
+        # channels-last, the layout of the im2col conv's output: the ReLU and
+        # BatchNorm backward passes behind the first pool read this gradient
+        # alongside caches laid out that way
+        gin = np.zeros((b, h, w, c)).transpose(0, 3, 1, 2)
         # stride equals window, so the four slices are disjoint
         for k, (i, j) in enumerate(_POOL_CELLS):
             gin[:, :, i : 2 * ho : 2, j : 2 * wo : 2] = np.where(idx == k, gout, 0.0)

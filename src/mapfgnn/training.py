@@ -183,7 +183,7 @@ def _batch_pass(net: PolicyNetwork, batch, train: bool):
     mode each size's head backward runs before the next size's forward, since
     layers cache only their latest call, then the CNN backward runs once.
     """
-    obs = np.concatenate([s.obs for s in batch]).astype(np.float64)
+    obs = np.concatenate([s.obs for s in batch], dtype=np.float64)
     feats = net.encode(obs, train)
     rows = feats.shape[0]
     sizes = np.array([s.num_robots for s in batch])

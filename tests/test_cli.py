@@ -191,6 +191,17 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip()
         assert json.loads(err)["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_config_value(self, token, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(f'{{"l2": {token}}}')
+        rc = main(["gen-maps", "--out", str(tmp_path / "m.jsonl"), "--config", str(path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert token in err["message"]
+        assert not (tmp_path / "m.jsonl").exists()
+
     def test_missing_input_is_io_error(self, tmp_path, capsys):
         rc = main(
             ["gen-cases", "--maps", str(tmp_path / "no.jsonl"),

@@ -8,7 +8,6 @@ from mapfgnn.executor import (
     NetworkPolicy,
     PlanReplayPolicy,
     RandomPolicy,
-    ScriptedPolicy,
     Trajectory,
     collision_shield,
     compute_metrics,
@@ -29,6 +28,17 @@ from mapfgnn.nn_core import Conv2d
 from mapfgnn.policy import PolicyArch, PolicyNetwork, policy_forward
 
 RIGHT, LEFT, UP, DOWN = 4, 2, 1, 3
+
+
+class ScriptedPolicy:
+    """Plays a fixed list of action vectors, repeating the last one."""
+
+    def __init__(self, script):
+        self.script = [list(step) for step in script]
+
+    def act(self, grid, case, positions, t, rng):
+        step = self.script[min(t, len(self.script) - 1)]
+        return list(step)
 
 
 def empty_map(w, h):

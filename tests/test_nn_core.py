@@ -24,6 +24,7 @@ from mapfgnn.nn_core import (
     softmax,
     uniform_init,
 )
+from mapfgnn.policy import PolicyArch, PolicyNetwork
 
 
 def safe_input(rng, shape, low=0.2, high=1.0):
@@ -64,6 +65,62 @@ def reference_unrolled_forward(conv, x):
     rows = x.reshape(b, c * h * w)
     out = (np.repeat(rows, 2, axis=0) if b == 1 else rows) @ unrolled
     return (out[:b] + np.repeat(conv.bias, h * w)).reshape(b, c_out, h, w)
+
+
+class ReferenceBatchNorm2d(BatchNorm2d):
+    """The layer's earlier arithmetic: every statistic and gradient reduces
+    over a (B, C, H*W) reshape of the input, with a fresh array per step."""
+
+    def forward(self, x, train=True):
+        x3 = x.reshape(x.shape[0], x.shape[1], -1)
+        if train:
+            m = x3.shape[0] * x3.shape[2]
+            mean = np.einsum("bcs->c", x3) / m
+            centred = x3 - mean[None, :, None]
+            var = np.einsum("bcs,bcs->c", centred, centred) / m
+            unbiased = var * m / (m - 1) if m > 1 else var
+            self.running_mean[...] = (
+                (1 - nn_core.BN_MOMENTUM) * self.running_mean + nn_core.BN_MOMENTUM * mean
+            )
+            self.running_var[...] = (
+                (1 - nn_core.BN_MOMENTUM) * self.running_var + nn_core.BN_MOMENTUM * unbiased
+            )
+        else:
+            mean = self.running_mean
+            var = self.running_var
+            centred = x3 - mean[None, :, None]
+        inv_std = 1.0 / np.sqrt(var + nn_core.BN_EPS)
+        xhat = centred * inv_std[None, :, None]
+        self._cache = (xhat, inv_std, train)
+        out = self.gamma[None, :, None] * xhat + self.beta[None, :, None]
+        return out.reshape(x.shape)
+
+    def backward(self, gout):
+        xhat, inv_std, train = self._cache
+        g3 = gout.reshape(xhat.shape)
+        gsum = g3.sum(axis=(0, 2))
+        gxsum = np.einsum("bcs,bcs->c", g3, xhat)
+        self.gbeta += gsum
+        self.ggamma += gxsum
+        scale = (self.gamma * inv_std)[None, :, None]
+        if not train:
+            return (scale * g3).reshape(gout.shape)
+        m = xhat.shape[0] * xhat.shape[2]
+        gin = scale * (g3 - (gsum[None, :, None] + xhat * gxsum[None, :, None]) / m)
+        return gin.reshape(gout.shape)
+
+
+def in_layout(a, layout):
+    """The same values as a, stored contiguous NCHW or channels-last."""
+    if layout == "nchw":
+        return np.ascontiguousarray(a)
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+def assert_close(got, want, tol=1e-12):
+    """Equal to tol, relative to the larger of 1 and want's largest magnitude."""
+    scale = max(1.0, float(np.abs(want).max(initial=0.0)))
+    assert np.abs(got - want).max(initial=0.0) <= tol * scale
 
 
 def reference_maxpool(x, gout):
@@ -160,6 +217,73 @@ class TestConv2d:
             assert data.backward(coef) is None
             assert np.array_equal(data.gweight, full.gweight)
             assert np.array_equal(data.gbias, full.gbias)
+
+
+class TestConv2dTrainUnrolled:
+    """A train forward on a map of up to 16 cells runs the unrolled GEMM; an
+    eval forward there keeps im2col. Both compute the same convolution."""
+
+    @pytest.mark.parametrize("rows", [2, 64])
+    @pytest.mark.parametrize("h,w", [(4, 4), (3, 3)])
+    def test_forward_and_backward_match_im2col(self, h, w, rows):
+        rng = np.random.default_rng(41)
+        unrolled, im2col = Conv2d(3, 4, rng), Conv2d(3, 4, rng)
+        im2col.weight[...], im2col.bias[...] = unrolled.weight, unrolled.bias
+        x = rng.normal(size=(rows, 3, h, w))
+        coef = rng.normal(size=(rows, 4, h, w))
+        out = unrolled.forward(x, train=True)
+        assert unrolled._cache[2] is not None
+        assert_close(out, reference_conv(unrolled, x))
+        im2col.forward(x, train=False)
+        assert im2col._cache[2] is None
+        gin, want = unrolled.backward(coef), im2col.backward(coef)
+        assert_close(gin, want)
+        assert_close(unrolled.gweight, im2col.gweight)
+        assert_close(unrolled.gbias, im2col.gbias)
+
+    @pytest.mark.parametrize("rows", [2, 64])
+    @pytest.mark.parametrize("h,w", [(4, 4), (3, 3)])
+    def test_gradients_match_finite_differences(self, h, w, rows):
+        rng = np.random.default_rng(42)
+        conv = Conv2d(3, 4, rng)
+        x = rng.normal(size=(rows, 3, h, w))
+        coef = rng.normal(size=(rows, 4, h, w))
+
+        def run():
+            conv.gweight[...] = 0.0
+            conv.gbias[...] = 0.0
+            out = conv.forward(x, train=True)
+            gin = conv.backward(coef)
+            return (out * coef).sum(), [gin.copy(), conv.gweight.copy(), conv.gbias.copy()]
+
+        err = gradient_check(
+            run, [x, conv.weight, conv.bias], max_coords=60, rng=np.random.default_rng(0)
+        )
+        assert err < 1e-4
+
+    @pytest.mark.parametrize("rows", [1, 3, 10])
+    def test_eval_forward_is_the_im2col_path_bit_for_bit(self, rows):
+        rng = np.random.default_rng(43)
+        conv = Conv2d(32, 64, rng)
+        x = rng.normal(size=(rows, 32, 4, 4))
+        out = conv.forward(x, train=False)
+        assert conv._cache[2] is None
+        assert np.array_equal(out, reference_conv(conv, x))
+
+    def test_paper_arch_path_per_layer(self):
+        net = PolicyNetwork(PolicyArch(), seed=0)
+        convs = [layer for layer in net.cnn if isinstance(layer, Conv2d)]
+        obs = np.random.default_rng(44).integers(0, 2, size=(4, 3, 9, 9)).astype(np.float64)
+        # map size per conv: 9x9, then 4x4, 4x4, 2x2, 2x2, 1x1 after each pool
+        expected = {True: [False, True, True, True, True, True],
+                    False: [False, False, False, True, True, True]}
+        for train, unrolled in expected.items():
+            net.encode(obs, train=train)
+            assert [conv._cache[2] is not None for conv in convs] == unrolled, train
+            sizes = [conv._cache[1][2] for conv in convs]
+            assert sizes == [9, 4, 4, 2, 2, 1]
+            # the input's (b, c, h, w), which the bench reads to count flops
+            assert all(len(conv._cache[1]) == 4 for conv in convs)
 
 
 class TestConv2dEvalMemo:
@@ -297,6 +421,45 @@ class TestBatchNorm2d:
 
             err = gradient_check(run, [x, bn.gamma, bn.beta])
             assert err < 1e-5, f"train={train}"
+
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        batch=st.integers(1, 4),
+        channels=st.integers(1, 5),
+        h=st.integers(1, 9),
+        w=st.integers(1, 9),
+        x_layout=st.sampled_from(["nchw", "channels_last"]),
+        g_layout=st.sampled_from(["nchw", "channels_last"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reference_in_either_layout(
+        self, batch, channels, h, w, x_layout, g_layout, seed
+    ):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(1.0, 2.0, size=(batch, channels, h, w))
+        gout = rng.normal(size=x.shape)
+        bn, ref = BatchNorm2d(channels), ReferenceBatchNorm2d(channels)
+        for layer in (bn, ref):
+            layer.gamma[...] = np.linspace(0.5, 1.5, channels)
+            layer.beta[...] = np.linspace(-0.3, 0.3, channels)
+            layer.running_var[...] = np.linspace(0.8, 1.2, channels)
+        x_in, g_in = in_layout(x, x_layout), in_layout(gout, g_layout)
+
+        assert_close(bn.forward(x_in, train=True), ref.forward(x, train=True))
+        assert_close(bn.running_mean, ref.running_mean)
+        assert_close(bn.running_var, ref.running_var)
+        assert_close(bn.backward(g_in), ref.backward(gout))
+        assert_close(bn.ggamma, ref.ggamma)
+        assert_close(bn.gbeta, ref.gbeta)
+
+        # eval mode is element-wise with the same arithmetic: identical bits
+        # from identical running statistics
+        bn.running_mean[...], bn.running_var[...] = ref.running_mean, ref.running_var
+        assert np.array_equal(bn.forward(x_in, train=False), ref.forward(x, train=False))
+        assert np.array_equal(bn.backward(g_in), ref.backward(gout))
+        assert_close(bn.ggamma, ref.ggamma)
+        assert_close(bn.gbeta, ref.gbeta)
 
 
 class TestReluMaxpool:
