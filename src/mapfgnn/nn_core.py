@@ -229,15 +229,47 @@ class Conv2d:
         return gpad[:, 1:-1, 1:-1].transpose(0, 3, 1, 2)
 
 
+def _per_channel(x: np.ndarray):
+    """BatchNorm2d's element-wise view of x: (rows, spread, shaped).
+
+    rows is x as (b, c*h*w) rows in memory order when x is C-contiguous NCHW
+    or channels-last, spread(v) lays a per-channel vector out along such a
+    row (each entry h*w times over for NCHW, the whole vector h*w times over
+    for channels-last), and shaped(r) turns rows of that layout back into a
+    (b, c, h, w) view. A pass then runs one long inner loop instead of broadcasting
+    (c, 1, 1) over short ones (4 or 16 cells on the small NCHW maps, c on
+    channels-last ones). Any other layout keeps its shape and the broadcast.
+    Each element meets the same operands in every case, so the results
+    agree bit for bit.
+    """
+    b, c, h, w = x.shape
+    if x.flags.c_contiguous:
+        return (
+            x.reshape(b, -1),
+            lambda v: np.repeat(v, h * w),
+            lambda r: r.reshape(b, c, h, w),
+        )
+    last = x.transpose(0, 2, 3, 1)
+    if last.flags.c_contiguous:
+        return (
+            last.reshape(b, -1),
+            lambda v: np.repeat(v[None], h * w, axis=0).ravel(),
+            lambda r: r.reshape(b, h, w, c).transpose(0, 3, 1, 2),
+        )
+    return x, lambda v: v[:, None, None], lambda r: r
+
+
 class BatchNorm2d:
     """Per-channel normalization over (batch, height, width).
 
     Input and gradient may have any strides; statistics and gradients reduce
-    over the arrays as they lie in memory, with no reshaping copy. Forward
-    centres the input into one buffer that takes the input's layout,
-    normalises it there in place (it is the xhat backward needs) and writes
-    the output once; backward builds the input gradient in one buffer. Eval
-    mode is element-wise: ((x - running_mean) * inv_std) * gamma + beta.
+    with einsum over the arrays as they lie in memory, with no reshaping
+    copy. Forward centres the input into one buffer that takes the input's
+    layout, normalises it there in place (it is the xhat backward needs) and
+    writes the output once; backward builds the input gradient in one
+    buffer. The element-wise passes run over long rows of a C-contiguous
+    NCHW or channels-last input (see _per_channel). Eval mode is element-wise:
+    ((x - running_mean) * inv_std) * gamma + beta.
     """
 
     def __init__(self, channels: int):
@@ -265,20 +297,22 @@ class BatchNorm2d:
             mean = np.einsum("bchw->c", x) / m
         else:
             mean = self.running_mean
-        xhat = x - mean[:, None, None]
+        rows, spread, shaped = _per_channel(x)
+        xhat = rows - spread(mean)
         if train:
-            var = np.einsum("bchw,bchw->c", xhat, xhat) / m
+            centred = shaped(xhat)
+            var = np.einsum("bchw,bchw->c", centred, centred) / m
             unbiased = var * m / (m - 1) if m > 1 else var
             self.running_mean[...] = (1 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean
             self.running_var[...] = (1 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * unbiased
         else:
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        xhat *= inv_std[:, None, None]
-        self._cache = (xhat, inv_std, train)
-        out = xhat * self.gamma[:, None, None]
-        out += self.beta[:, None, None]
-        return out
+        xhat *= spread(inv_std)
+        self._cache = (shaped(xhat), inv_std, train)
+        out = xhat * spread(self.gamma)
+        out += spread(self.beta)
+        return shaped(out)
 
     def backward(self, gout: np.ndarray) -> np.ndarray:
         xhat, inv_std, train = self._cache
@@ -286,20 +320,29 @@ class BatchNorm2d:
         gxsum = np.einsum("bchw,bchw->c", gout, xhat)
         self.gbeta += gsum
         self.ggamma += gxsum
-        scale = (self.gamma * inv_std)[:, None, None]
+        scale = self.gamma * inv_std
         if not train:
-            return scale * gout
+            return scale[:, None, None] * gout
         m = xhat.size // xhat.shape[1]
         # scale * (gout - (gsum + xhat * gxsum) / m), built in one buffer
-        gin = xhat * gxsum[:, None, None]
-        gin += gsum[:, None, None]
+        rows, spread, shaped = _per_channel(xhat)
+        gin = rows * spread(gxsum)
+        gin += spread(gsum)
         gin /= m
-        np.subtract(gout, gin, out=gin)
-        gin *= scale
-        return gin
+        np.subtract(gout, shaped(gin), out=shaped(gin))
+        gin *= spread(scale)
+        return shaped(gin)
 
 
 class ReLU:
+    """max(x, 0); backward passes the gradient where the input was positive.
+
+    The gradient is gout * mask rather than a select: a multiply has no
+    branch on a random mask. It equals the select except that a masked
+    cell holds -0.0 where gout was negative, and NaN where gout was not
+    finite.
+    """
+
     def __init__(self):
         self._mask = None
 
@@ -314,17 +357,31 @@ class ReLU:
         return np.maximum(x, 0.0)
 
     def backward(self, gout: np.ndarray) -> np.ndarray:
-        return np.where(self._mask, gout, 0.0)
+        return gout * self._mask
 
 
-# (row, column) offsets of the four cells of a 2x2 window, in row-major order
-_POOL_CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
+# window cell of each (row, column) offset in a 2x2 window, in row-major
+# order, shaped to broadcast over a (b, ho, 2, wo, 2, c) view; int8 like
+# the pool's argmax index, so the comparison needs no cast
+_WINDOW_CELL = np.arange(4, dtype=np.int8).reshape(2, 1, 2, 1)
 
 
 class MaxPool2d:
     """2x2 window, stride 2, floor boundary (odd trailing row/col dropped).
 
     Ties inside a window resolve to the first cell in row-major order.
+
+    The window slices run on channels-last memory, where numpy's inner loop
+    runs over the channels instead of over a few cells of a row: a
+    C-contiguous NCHW input is copied to channels-last first, and a
+    channels-last input is sliced as it lies. The output is channels-last.
+
+    Only a train forward finds each window's argmax, and it caches that
+    index, not the activation; an eval forward clears the cache, so a
+    backward after it raises. Backward writes the gradient in the forward
+    input's layout (C-contiguous NCHW, or channels-last for any other
+    input), so a BatchNorm before the pool reduces its gradient in the same
+    order as its activations.
     """
 
     def __init__(self):
@@ -340,26 +397,34 @@ class MaxPool2d:
         if x.ndim != 4 or x.shape[2] < 2 or x.shape[3] < 2:
             raise ShapeMismatch(f"maxpool2d expects (B,C,H>=2,W>=2), got {x.shape}")
         ho, wo = x.shape[2] // 2, x.shape[3] // 2
-        nw, ne, sw, se = (x[:, :, i : 2 * ho : 2, j : 2 * wo : 2] for i, j in _POOL_CELLS)
+        nchw = x.flags.c_contiguous
+        cells = x.transpose(0, 2, 3, 1)
+        if nchw:
+            cells = np.ascontiguousarray(cells)
+        nw, ne, sw, se = (cells[:, i : 2 * ho : 2, j : 2 * wo : 2] for i in (0, 1) for j in (0, 1))
         top, bottom = np.maximum(nw, ne), np.maximum(sw, se)
-        # index of the first cell, in row-major order, holding the maximum
-        top_idx = (nw < ne).view(np.int8)
-        bottom_idx = (sw < se).view(np.int8) + 2
-        idx = np.where(top >= bottom, top_idx, bottom_idx)
-        self._cache = (idx, x.shape)
-        return np.maximum(top, bottom)
+        self._cache = None
+        if train:
+            # index of the first cell, in row-major order, holding the maximum:
+            # top_idx where top >= bottom, else bottom_idx, picked by
+            # arithmetic, since a select on a random condition branches
+            top_idx = (nw < ne).view(np.int8)
+            bottom_idx = (sw < se).view(np.int8) + 2
+            idx = bottom_idx - (top >= bottom) * (bottom_idx - top_idx)
+            self._cache = (idx, x.shape, nchw)
+        return np.maximum(top, bottom, out=top).transpose(0, 3, 1, 2)
 
     def backward(self, gout: np.ndarray) -> np.ndarray:
-        idx, in_shape = self._cache
-        ho, wo = gout.shape[2:]
-        b, c, h, w = in_shape
-        # channels-last, the layout of the im2col conv's output: the ReLU and
-        # BatchNorm backward passes behind the first pool read this gradient
-        # alongside caches laid out that way
-        gin = np.zeros((b, h, w, c)).transpose(0, 3, 1, 2)
-        # stride equals window, so the four slices are disjoint
-        for k, (i, j) in enumerate(_POOL_CELLS):
-            gin[:, :, i : 2 * ho : 2, j : 2 * wo : 2] = np.where(idx == k, gout, 0.0)
+        if self._cache is None:
+            raise RuntimeError("maxpool2d backward needs a train-mode forward first")
+        idx, (b, c, h, w), nchw = self._cache
+        ho, wo = idx.shape[1:3]
+        gin = np.zeros((b, c, h, w)) if nchw else np.zeros((b, h, w, c)).transpose(0, 3, 1, 2)
+        # splitting the row and column axes of the windowed part is a view;
+        # an odd trailing row or column keeps its zeros
+        windows = gin.transpose(0, 2, 3, 1)[:, : 2 * ho, : 2 * wo].reshape(b, ho, 2, wo, 2, c)
+        g = gout.transpose(0, 2, 3, 1)[:, :, None, :, None]
+        np.multiply(g, idx[:, :, None, :, None] == _WINDOW_CELL, out=windows)
         return gin
 
 

@@ -83,8 +83,11 @@ class PolicyArch:
 class PolicyNetwork:
     """CNN per robot, graph filter across robots, shared linear action head.
 
-    The CNN is three repetitions of [conv-bn-relu-maxpool, conv-bn-relu],
+    The CNN is three repetitions of [conv-bn-maxpool-relu, conv-bn-relu],
     shrinking the 9x9 window to 1x1 and flattening to the feature width.
+    Max-pooling before the ReLU computes exactly what pooling after it
+    would, since max and ReLU commute and the gradient takes the same route,
+    but the ReLU then runs on a quarter of the cells.
     """
 
     def __init__(self, arch: PolicyArch = PolicyArch(), seed: int = 0):
@@ -100,9 +103,10 @@ class PolicyNetwork:
             bn = BatchNorm2d(c)
             self.store.add_layer(f"cnn.conv{i}", conv)
             self.store.add_layer(f"cnn.bn{i}", bn)
-            self.cnn.extend([conv, bn, ReLU()])
+            self.cnn.extend([conv, bn])
             if i % 2 == 0:
                 self.cnn.append(MaxPool2d())
+            self.cnn.append(ReLU())
             c_prev = c
         self.gnn = GraphFilter(arch.features, arch.features, arch.taps, rng)
         self.gnn_relu = ReLU()

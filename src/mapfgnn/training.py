@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
 from .executor import NetworkPolicy, rollout
 from .expert import DEFAULT_TIMEOUT_S, Plan, plan_to_labels, positions_at
 from .gridworld import (
@@ -154,11 +154,41 @@ class AdamState:
         }
 
     def load_jsonable(self, doc: dict) -> None:
-        self.t = doc["t"]
-        for k, arr in self.m.items():
-            arr[...] = np.asarray(doc["m"][k]).reshape(arr.shape)
-        for k, arr in self.v.items():
-            arr[...] = np.asarray(doc["v"][k]).reshape(arr.shape)
+        """Restore a state to_jsonable wrote for the same parameters.
+
+        Every check runs before anything is assigned: a missing or extra
+        parameter name, a value list that is not flat or has another length
+        than the parameter, a value that is not a finite number (null, a
+        string, NaN or an infinity), or a step count that is not a
+        non-negative int raises ParseError and leaves the state as it was.
+        """
+        try:
+            t = doc["t"]
+            if type(t) is not int or t < 0:
+                raise ValueError(f"step count {t!r} is not a non-negative int")
+            loaded = []
+            for moment, buffers in (("m", self.m), ("v", self.v)):
+                stored = doc[moment]
+                missing, extra = set(buffers) - set(stored), set(stored) - set(buffers)
+                if missing or extra:
+                    raise ValueError(
+                        f"{moment} names differ: missing {sorted(missing)}, extra {sorted(extra)}"
+                    )
+                for name, arr in buffers.items():
+                    values = np.asarray(stored[name])
+                    if values.shape != (arr.size,):
+                        raise ValueError(
+                            f"{moment}[{name}]: {values.shape} values, expected ({arr.size},)"
+                        )
+                    # a null or a string among the numbers makes the dtype non-numeric
+                    if values.dtype.kind not in "iuf" or not np.isfinite(values).all():
+                        raise ValueError(f"{moment}[{name}]: values are not all finite numbers")
+                    loaded.append((arr, values.astype(np.float64).reshape(arr.shape)))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"optimizer state is invalid: {exc!r}")
+        self.t = t
+        for arr, values in loaded:
+            arr[...] = values
 
 
 def adam_step(store, adam: AdamState, lr: float, config: TrainConfig) -> None:
@@ -171,8 +201,11 @@ def adam_step(store, adam: AdamState, lr: float, config: TrainConfig) -> None:
         g = store.grads[name] + config.l2 * p
         m = adam.m[name]
         v = adam.v[name]
-        m[...] = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
-        v[...] = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
+        # in place, in the order of beta * m + (1 - beta) * g: the same bits
+        m *= ADAM_BETA1
+        m += (1 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1 - ADAM_BETA2) * g * g
         p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 
@@ -24,6 +25,7 @@ from mapfgnn.nn_core import (
     softmax,
     uniform_init,
 )
+from mapfgnn.gridworld import build_gso
 from mapfgnn.policy import PolicyArch, PolicyNetwork
 
 
@@ -108,6 +110,138 @@ class ReferenceBatchNorm2d(BatchNorm2d):
         m = xhat.shape[0] * xhat.shape[2]
         gin = scale * (g3 - (gsum[None, :, None] + xhat * gxsum[None, :, None]) / m)
         return gin.reshape(gout.shape)
+
+
+class BroadcastBatchNorm2d(BatchNorm2d):
+    """The layer before its element-wise passes ran over long rows: each pass
+    broadcasts a (c, 1, 1) vector over the input's own shape. Its reductions
+    and per-element arithmetic are the layer's, so the two agree bit for bit."""
+
+    def forward(self, x, train=True):
+        if train:
+            m = x.size // x.shape[1]
+            mean = np.einsum("bchw->c", x) / m
+        else:
+            mean = self.running_mean
+        xhat = x - mean[:, None, None]
+        if train:
+            var = np.einsum("bchw,bchw->c", xhat, xhat) / m
+            unbiased = var * m / (m - 1) if m > 1 else var
+            self.running_mean[...] = (
+                (1 - nn_core.BN_MOMENTUM) * self.running_mean + nn_core.BN_MOMENTUM * mean
+            )
+            self.running_var[...] = (
+                (1 - nn_core.BN_MOMENTUM) * self.running_var + nn_core.BN_MOMENTUM * unbiased
+            )
+        else:
+            var = self.running_var
+        inv_std = 1.0 / np.sqrt(var + nn_core.BN_EPS)
+        xhat *= inv_std[:, None, None]
+        self._cache = (xhat, inv_std, train)
+        out = xhat * self.gamma[:, None, None]
+        out += self.beta[:, None, None]
+        return out
+
+    def backward(self, gout):
+        xhat, inv_std, train = self._cache
+        gsum = np.einsum("bchw->c", gout)
+        gxsum = np.einsum("bchw,bchw->c", gout, xhat)
+        self.gbeta += gsum
+        self.ggamma += gxsum
+        scale = (self.gamma * inv_std)[:, None, None]
+        if not train:
+            return scale * gout
+        m = xhat.size // xhat.shape[1]
+        gin = xhat * gxsum[:, None, None]
+        gin += gsum[:, None, None]
+        gin /= m
+        np.subtract(gout, gin, out=gin)
+        gin *= scale
+        return gin
+
+
+class SelectReLU:
+    """ReLU whose backward selects with np.where, as the layer did before it
+    multiplied by its mask."""
+
+    def forward(self, x, train=True):
+        self._mask = x > 0
+        return np.maximum(x, 0.0)
+
+    def backward(self, gout):
+        return np.where(self._mask, gout, 0.0)
+
+
+class StridedMaxPool2d:
+    """Max pooling as the layer did it before it went channels-last: strided
+    slices of the input as it lies, an argmax on every forward, and a
+    channels-last gradient written by four selects."""
+
+    CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+    def forward(self, x, train=True):
+        ho, wo = x.shape[2] // 2, x.shape[3] // 2
+        nw, ne, sw, se = (x[:, :, i : 2 * ho : 2, j : 2 * wo : 2] for i, j in self.CELLS)
+        top, bottom = np.maximum(nw, ne), np.maximum(sw, se)
+        top_idx = (nw < ne).view(np.int8)
+        bottom_idx = (sw < se).view(np.int8) + 2
+        self._cache = (np.where(top >= bottom, top_idx, bottom_idx), x.shape)
+        return np.maximum(top, bottom)
+
+    def backward(self, gout):
+        idx, (b, c, h, w) = self._cache
+        ho, wo = gout.shape[2:]
+        gin = np.zeros((b, h, w, c)).transpose(0, 3, 1, 2)
+        for k, (i, j) in enumerate(self.CELLS):
+            gin[:, :, i : 2 * ho : 2, j : 2 * wo : 2] = np.where(idx == k, gout, 0.0)
+        return gin
+
+
+def reference_block_layers(net):
+    """net's CNN rebuilt from the reference layers in the conv-bn-relu-pool
+    order; the reference BatchNorms share the network's parameter, gradient
+    and running-statistic arrays, so its ParamStore and optimizer see them."""
+    convs = [layer for layer in net.cnn if isinstance(layer, Conv2d)]
+    bns = [layer for layer in net.cnn if isinstance(layer, BatchNorm2d)]
+    cnn = []
+    for i, (conv, bn) in enumerate(zip(convs, bns)):
+        ref = BroadcastBatchNorm2d(bn.gamma.size)
+        for name in ("gamma", "beta", "ggamma", "gbeta", "running_mean", "running_var"):
+            setattr(ref, name, getattr(bn, name))
+        cnn += [conv, ref, SelectReLU()]
+        if i % 2 == 0:
+            cnn.append(StridedMaxPool2d())
+    return cnn
+
+
+class Relayout:
+    """Identity layer that hands its input on stored in one layout."""
+
+    def __init__(self, layout):
+        self.layout = layout
+
+    def forward(self, x, train=True):
+        return in_layout(x, self.layout)
+
+    def backward(self, gout):
+        return gout
+
+
+def forward_chain(layers, x, train):
+    for layer in layers:
+        x = layer.forward(x, train)
+    return x
+
+
+def backward_chain(layers, gout):
+    for layer in reversed(layers):
+        gout = layer.backward(gout)
+    return gout
+
+
+def assert_bytes_equal(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def in_layout(a, layout):
@@ -547,6 +681,123 @@ class TestReluMaxpool:
         ref_out, ref_gin = reference_maxpool(x, gout)
         assert np.array_equal(out, ref_out)
         assert np.array_equal(mp.backward(gout), ref_gin)
+
+
+class TestPoolBeforeRelu:
+    """conv-bn-pool-relu gives the bits of the conv-bn-relu-pool chain built
+    from the reference layers: max and ReLU commute, and the gradient takes
+    the same route. The masked cells of a gradient may hold -0.0 where the
+    select wrote 0.0, which no sum, weight or statistic can tell apart."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        batch=st.integers(1, 4),
+        channels=st.integers(1, 4),
+        size=st.sampled_from([(9, 9), (4, 4), (2, 2), (3, 3), (5, 4), (7, 6), (2, 3)]),
+        layout=st.sampled_from(["nchw", "channels_last"]),
+        levels=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_reference_chain(self, batch, channels, size, layout, levels, seed):
+        rng = np.random.default_rng(seed)
+        h, w = size
+        # integer inputs and taps make integer conv outputs: ties in windows,
+        # and with a negative beta, windows with no positive cell
+        x = rng.integers(-levels, levels, size=(batch, 2, h, w), endpoint=True).astype(float)
+        front, back = Conv2d(2, channels, rng), Conv2d(channels, 3, rng)
+        front.weight[...] = rng.integers(-1, 1, size=front.weight.shape, endpoint=True)
+        front.bias[...] = 0.0
+        bn, ref_bn = BatchNorm2d(channels), BroadcastBatchNorm2d(channels)
+        bn.gamma[...] = ref_bn.gamma[...] = rng.uniform(0.5, 1.5, size=channels)
+        bn.beta[...] = ref_bn.beta[...] = rng.uniform(-2.0, 0.5, size=channels)
+        chain = [front, Relayout(layout), bn, MaxPool2d(), ReLU(), back]
+        ref = [copy.deepcopy(front), Relayout(layout), ref_bn, SelectReLU(),
+               StridedMaxPool2d(), copy.deepcopy(back)]
+
+        out = forward_chain(chain, x, train=True)
+        assert_bytes_equal(out, forward_chain(ref, x, train=True))
+        gout = rng.normal(size=out.shape)
+        assert np.array_equal(backward_chain(chain, gout), backward_chain(ref, gout))
+        for i in (0, 2, 5):
+            for (_, _, got), (_, _, want) in zip(chain[i].parameters(), ref[i].parameters()):
+                assert_bytes_equal(got, want)
+            for (_, got), (_, want) in zip(chain[i].state_arrays(), ref[i].state_arrays()):
+                assert_bytes_equal(got, want)
+        assert_bytes_equal(forward_chain(chain, x, train=False), forward_chain(ref, x, train=False))
+
+    def test_policy_network_adam_steps(self):
+        arch = PolicyArch()
+        net, ref = PolicyNetwork(arch, seed=6), PolicyNetwork(arch, seed=6)
+        ref.cnn = reference_block_layers(ref)
+        assert [type(layer).__name__ for layer in net.cnn[:5]] == [
+            "Conv2d", "BatchNorm2d", "MaxPool2d", "ReLU", "Conv2d"
+        ]
+        rng = np.random.default_rng(6)
+        batch = []
+        for n in (10, 6, 10, 10, 6, 10):
+            positions = [tuple(p) for p in rng.integers(0, 20, size=(n, 2))]
+            batch.append(training.Sample(
+                case_id="c", t=0,
+                obs=(rng.random((n, 3, 9, 9)) < 0.3).astype(np.uint8),
+                gso=build_gso(positions, arch.comm_radius).matrix,
+                labels=rng.integers(0, 5, size=n),
+            ))
+        config = training.TrainConfig()
+        for model in (net, ref):
+            adam = training.AdamState(model.store)
+            for _ in range(3):
+                model.store.zero_grads()
+                training._batch_pass(model, batch, train=True)
+                training.adam_step(model.store, adam, 1e-3, config)
+        for group in ("params", "grads", "state"):
+            for name, value in getattr(net.store, group).items():
+                assert_bytes_equal(value, getattr(ref.store, group)[name])
+        obs = np.concatenate([s.obs for s in batch], dtype=np.float64)
+        assert_bytes_equal(net.encode(obs), ref.encode(obs))
+
+
+class TestLayoutAndEvalContracts:
+    @pytest.mark.parametrize("layout", ["nchw", "channels_last"])
+    @pytest.mark.parametrize("size", [(9, 9), (4, 4), (2, 2), (5, 4)], ids=lambda s: "%dx%d" % s)
+    def test_maxpool_gradient_takes_the_input_layout(self, size, layout):
+        # a gradient in another layout makes the BatchNorm before the pool
+        # reduce in another order, and the weights drift in the last bits
+        rng = np.random.default_rng(25)
+        x = in_layout(rng.normal(size=(3, 5) + size), layout)
+        mp = MaxPool2d()
+        gout = rng.normal(size=mp.forward(x).shape)
+        gin = mp.backward(gout)
+        assert gin.strides == x.strides
+        _, ref_gin = reference_maxpool(np.ascontiguousarray(x), gout)
+        assert np.array_equal(gin, ref_gin)
+
+    def test_maxpool_eval_forward_clears_the_argmax(self):
+        rng = np.random.default_rng(26)
+        x = rng.normal(size=(2, 3, 4, 4))
+        mp = MaxPool2d()
+        train_out = mp.forward(x, train=True)
+        assert np.array_equal(mp.forward(x, train=False), train_out)
+        with pytest.raises(RuntimeError):
+            mp.backward(rng.normal(size=train_out.shape))
+
+    @pytest.mark.parametrize("layout", ["nchw", "channels_last"])
+    def test_batchnorm_eval_backward(self, layout):
+        rng = np.random.default_rng(27)
+        bn, ref = BatchNorm2d(4), BroadcastBatchNorm2d(4)
+        bn.gamma[...] = rng.uniform(0.5, 1.5, size=4)
+        bn.running_mean[...] = rng.normal(size=4)
+        bn.running_var[...] = rng.uniform(0.5, 2.0, size=4)
+        ref.gamma[...], ref.running_mean[...] = bn.gamma, bn.running_mean
+        ref.running_var[...] = bn.running_var
+        x = in_layout(rng.normal(size=(3, 4, 4, 4)), layout)
+        gout = in_layout(rng.normal(size=x.shape), layout)
+        assert_bytes_equal(bn.forward(x, train=False), ref.forward(x, train=False))
+        gin = bn.backward(gout)
+        assert_bytes_equal(gin, ref.backward(gout))
+        scale = (bn.gamma / np.sqrt(bn.running_var + nn_core.BN_EPS))[:, None, None]
+        assert np.allclose(gin, scale * gout, rtol=1e-15, atol=0)
+        assert_bytes_equal(bn.ggamma, ref.ggamma)
+        assert_bytes_equal(bn.gbeta, ref.gbeta)
 
 
 class TestLinear:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mapfgnn import datastore
-from mapfgnn.errors import ConfigError, NonFiniteGradient, SolverTimeout
+from mapfgnn.errors import ConfigError, NonFiniteGradient, ParseError, SolverTimeout
 from mapfgnn.executor import IdlePolicy, PlanReplayPolicy
 from mapfgnn.expert import cbs_solve
 from mapfgnn.gridworld import build_gso, generate_case, generate_map
@@ -152,6 +152,120 @@ class TestAdam:
         for k in adam.m:
             assert np.array_equal(adam2.m[k], adam.m[k])
             assert np.array_equal(adam2.v[k], adam.v[k])
+
+    def test_in_place_moments_match_the_expression_bit_for_bit(self):
+        store = self.make_store()
+        adam = AdamState(store)
+        cfg = TrainConfig()
+        rng = np.random.default_rng(5)
+        params = {k: p.copy() for k, p in store.params.items()}
+        m = {k: np.zeros_like(p) for k, p in params.items()}
+        v = {k: np.zeros_like(p) for k, p in params.items()}
+        for t in range(1, 4):
+            for g in store.grads.values():
+                g[...] = rng.normal(size=g.shape)
+            adam_step(store, adam, 1e-3, cfg)
+            bc1, bc2 = 1 - 0.9**t, 1 - 0.999**t
+            for k, p in params.items():
+                g = store.grads[k] + cfg.l2 * p
+                m[k] = 0.9 * m[k] + (1 - 0.9) * g
+                v[k] = 0.999 * v[k] + (1 - 0.999) * g * g
+                p -= 1e-3 * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + 1e-8)
+        for k, p in store.params.items():
+            assert np.array_equal(p, params[k]), k
+            assert np.array_equal(adam.m[k], m[k]), k
+            assert np.array_equal(adam.v[k], v[k]), k
+
+
+def _stepped_adam_doc(store):
+    adam = AdamState(store)
+    store.zero_grads()
+    for g in store.grads.values():
+        g[...] = 0.5
+    adam_step(store, adam, 1e-3, TrainConfig())
+    return adam.to_jsonable()
+
+
+def _drop(doc, *path):
+    for key in path[:-1]:
+        doc = doc[key]
+    del doc[path[-1]]
+
+
+def _set(value):
+    def edit(doc, *path):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+
+    return edit
+
+
+def _set_first_value(value):
+    def edit(doc, moment, name):
+        doc[moment][name][0] = value
+
+    return edit
+
+
+class TestAdamStateLoad:
+    """A broken optimizer state raises ParseError and changes nothing."""
+
+    @pytest.mark.parametrize(
+        "edit,path",
+        [
+            (_drop, ("t",)),
+            (_drop, ("m",)),
+            (_drop, ("v",)),
+            (_drop, ("m", "mlp.head.bias")),
+            (_drop, ("v", "cnn.conv0.weight")),
+            (_set([0.0] * 5), ("m", "extra.bias")),
+        ],
+        ids=["t", "m", "v", "m-name", "v-name", "extra-name"],
+    )
+    def test_missing_or_extra_key(self, edit, path):
+        self.assert_rejected(edit, path)
+
+    @pytest.mark.parametrize("count", [0, 4, 6])
+    def test_wrong_value_count(self, count):
+        # the head bias has one value per action: 5
+        self.assert_rejected(_set([0.1] * count), ("m", "mlp.head.bias"))
+
+    def test_wrong_shape(self):
+        # the right count, but nested rather than the flat list to_jsonable writes
+        store = PolicyNetwork(TINY, seed=0).store
+        weight = store.params["mlp.head.weight"]
+        nested = np.zeros(weight.shape).tolist()
+        self.assert_rejected(_set(nested), ("v", "mlp.head.weight"))
+
+    @pytest.mark.parametrize("bad", [None, math.nan, math.inf, -math.inf, "0.1"])
+    def test_non_finite_or_non_numeric_value(self, bad):
+        self.assert_rejected(_set_first_value(bad), ("v", "cnn.bn0.gamma"))
+
+    @pytest.mark.parametrize("t", [1.0, "1", True, None, -1])
+    def test_step_count_not_a_non_negative_int(self, t):
+        self.assert_rejected(_set(t), ("t",))
+
+    def test_not_a_mapping(self):
+        store = PolicyNetwork(TINY, seed=0).store
+        with pytest.raises(ParseError):
+            AdamState(store).load_jsonable([1, 2, 3])
+
+    def assert_rejected(self, edit, path):
+        import copy
+
+        store = PolicyNetwork(TINY, seed=0).store
+        good = _stepped_adam_doc(store)
+        adam = AdamState(store)
+        adam.load_jsonable(good)
+        doc = copy.deepcopy(good)
+        edit(doc, *path)
+        with pytest.raises(ParseError):
+            adam.load_jsonable(doc)
+        assert adam.t == good["t"]
+        for k in adam.m:
+            assert adam.m[k].ravel().tolist() == good["m"][k]
+            assert adam.v[k].ravel().tolist() == good["v"][k]
 
 
 class TestSplit:
