@@ -192,13 +192,24 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    values["channels"] = tuple(int(c) for c in values["channels"])
-    try:
-        config = RunConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc))
+    for key, value in values.items():
+        if not _type_matches(getattr(RunConfig, key), value):
+            raise ConfigError(f"{key} has the wrong type: {value!r}")
+    values["channels"] = tuple(values["channels"])
+    config = RunConfig(**values)
     config.validate()
     return config
+
+
+def _type_matches(default, value) -> bool:
+    """Whether a JSON value fits the RunConfig field with this default: an
+    int field takes an int (never a bool), a float field an int or a float,
+    and channels a list of ints."""
+    if isinstance(default, tuple):
+        return isinstance(value, list) and all(type(c) is int for c in value)
+    if isinstance(default, float):
+        return type(value) in (int, float)
+    return type(value) is int
 
 
 # ---------------------------------------------------------------------------

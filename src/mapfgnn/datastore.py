@@ -277,18 +277,24 @@ def save_cases(path: str, records: list[CaseRecord], meta=None) -> None:
 
 
 def load_cases(path: str, maps: dict[str, GridMap]) -> list[CaseRecord]:
-    """Load case records; every stored plan is re-validated against its map."""
+    """Load case records. Starts and goals must be equal in number and
+    non-zero, every one a free cell of the case's map, and no two robots may
+    share a start or a goal; every stored plan is re-validated against its map."""
     _, records = _read_jsonl(path, "cases")
     out = []
     for doc, lineno in records:
         map_id = _require(doc, "map_id", path, lineno)
         if map_id not in maps:
             raise ParseError(f"unknown map_id {map_id!r}", path=path, line=lineno)
-        case = Case(
-            map_id=map_id,
-            starts=_cells_from_lists(_require(doc, "starts", path, lineno), path, lineno),
-            goals=_cells_from_lists(_require(doc, "goals", path, lineno), path, lineno),
-        )
+        starts = _cells_from_lists(_require(doc, "starts", path, lineno), path, lineno)
+        goals = _cells_from_lists(_require(doc, "goals", path, lineno), path, lineno)
+        if not starts or len(starts) != len(goals):
+            raise ParseError("start and goal counts differ or are 0", path=path, line=lineno)
+        if len(set(starts)) < len(starts) or len(set(goals)) < len(goals):
+            raise ParseError("two robots share a start or a goal", path=path, line=lineno)
+        if not all(map(maps[map_id].is_free, starts + goals)):
+            raise ParseError(f"a start or goal is not free on {map_id!r}", path=path, line=lineno)
+        case = Case(map_id=map_id, starts=starts, goals=goals)
         plan_doc = _require(doc, "plan", path, lineno)
         plan = None
         if plan_doc is not None:

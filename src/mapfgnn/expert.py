@@ -11,7 +11,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,17 +65,25 @@ class Conflict:
 
 
 def bfs_distances(grid: GridMap, goal: Cell) -> dict[Cell, int]:
-    """Unit-cost distance from every reachable free cell to the (free) goal."""
+    """Unit-cost distance from every reachable free cell to the (free) goal.
+
+    Breadth-first one level at a time: every cell of a level gets the same
+    distance, so no cell's distance is read back. Keys are inserted in the
+    order a FIFO-queue BFS would reach them.
+    """
     successors = grid.successors
     dist = {goal: 0}
-    queue = deque([goal])
-    while queue:
-        cell = queue.popleft()
-        d = dist[cell] + 1
-        for nxt in successors[cell]:
-            if nxt not in dist:
-                dist[nxt] = d
-                queue.append(nxt)
+    level = [goal]
+    d = 0
+    while level:
+        d += 1
+        nxt_level = []
+        for cell in level:
+            for nxt in successors[cell]:
+                if nxt not in dist:
+                    dist[nxt] = d
+                    nxt_level.append(nxt)
+        level = nxt_level
     return dist
 
 
@@ -96,13 +103,22 @@ def low_level_search(
 
     The path ends at the first arrival that may become permanent rest, i.e.
     after the last vertex constraint on the goal cell. Cost equals arrival
-    time, so g doubles as the timestep. Ties break by expansion order with
-    successors generated in the fixed action order.
+    time, so g doubles as the timestep. States pop in (f, g, push order),
+    with successors generated in the fixed action order. `dist_to_goal`
+    must be the goal's bfs_distances.
 
     Every push of a state (cell, t) carries the same f = t + h(cell) and
     g = t, so a second push could only pop after the first and be dropped.
     Each state is therefore pushed once, its first parent kept, and the
-    parent table doubles as the closed set.
+    per-timestep parent tables double as the closed set.
+
+    The open list is a bucket queue: one FIFO list per (f, g). h is a BFS
+    distance, so a step changes it by -1, 0 or +1 and a child's f is its
+    parent's f, f + 1 or f + 2. f therefore never falls below the f being
+    expanded, and within one f a child has a larger g than its parent.
+    Popping the lowest f, then the lowest g, then each bucket front to back
+    gives the order a (f, g, push-order) heap would. Only the goal has h = 0,
+    so a bucket with f == g holds the goal alone.
     """
     if horizon is None:
         horizon = default_horizon(grid)
@@ -111,46 +127,56 @@ def low_level_search(
     if start not in dist_to_goal:
         raise Unreachable(f"no route {start} -> {goal}")
 
-    vertex_banned = set()
-    edge_banned = set()
+    # t -> banned cells (vertex) and banned (from, to) moves arriving at t (edge)
+    bans: dict[int, set] = {}
     for c in constraints:
-        if c.kind == VERTEX:
-            vertex_banned.add((c.cells[0], c.time))
-        else:
-            edge_banned.add((c.cells[0], c.cells[1], c.time))
-    if (start, 0) in vertex_banned:
+        bans.setdefault(c.time, set()).add(c.cells[0] if c.kind == VERTEX else c.cells)
+    if start in bans.get(0, ()):
         raise Unreachable("start cell constrained at t=0")
-    last_goal_ban = max((t for cell, t in vertex_banned if cell == goal), default=-1)
-    constrained = bool(vertex_banned or edge_banned)
+    last_goal_ban = max((t for t, banned in bans.items() if goal in banned), default=-1)
 
     successors = grid.successors
-    tie = itertools.count()
-    heap = [(dist_to_goal[start], 0, next(tie), start)]
-    came_from: dict[tuple[Cell, int], tuple[Cell, int] | None] = {(start, 0): None}
-    while heap:
-        _, g, _, cell = heapq.heappop(heap)
-        if cell == goal and g > last_goal_ban:
-            path = []
-            key = (cell, g)
-            while key is not None:
-                path.append(key[0])
-                key = came_from[key]
-            path.reverse()
-            return path
-        if g >= horizon:
-            continue
-        t1 = g + 1
-        for nxt in successors[cell]:
-            state = (nxt, t1)
-            if state in came_from:
+    # parents[t]: cell -> the cell it was first reached from at t - 1
+    parents: list[dict[Cell, Cell | None]] = [{start: None}]
+    # f -> g -> cells pushed with that (f, g), in push order
+    open_levels: dict[int, dict[int, list[Cell]]] = {dist_to_goal[start]: {0: [start]}}
+    while open_levels:
+        f = min(open_levels)
+        level = open_levels.pop(f)
+        while level:
+            g = min(level)
+            cells = level.pop(g)
+            if not cells:
                 continue
-            if constrained and (state in vertex_banned or (cell, nxt, t1) in edge_banned):
+            if g == f and g > last_goal_ban:
+                path = [goal]
+                for t in range(g, 0, -1):
+                    path.append(parents[t][path[-1]])
+                path.reverse()
+                return path
+            if g >= horizon:
                 continue
-            h = dist_to_goal.get(nxt)
-            if h is None:
-                continue
-            came_from[state] = (cell, g)
-            heapq.heappush(heap, (t1 + h, t1, next(tie), nxt))
+            t1 = g + 1
+            if t1 == len(parents):
+                parents.append({})
+            reached = parents[t1]
+            banned = bans.get(t1)
+            later = open_levels.setdefault(f + 1, {})
+            latest = open_levels.setdefault(f + 2, {})
+            # keyed by a child's f = t1 + h: the parent's f, f + 1 or f + 2
+            push = {
+                f: level.setdefault(t1, []),
+                f + 1: later.setdefault(t1, []),
+                f + 2: latest.setdefault(t1, []),
+            }
+            for cell in cells:
+                for nxt in successors[cell]:
+                    if nxt in reached:
+                        continue
+                    if banned is not None and (nxt in banned or (cell, nxt) in banned):
+                        continue
+                    reached[nxt] = cell
+                    push[t1 + dist_to_goal[nxt]].append(nxt)
     raise Unreachable(f"no path {start} -> {goal} within horizon {horizon}")
 
 
@@ -160,22 +186,30 @@ def positions_at(paths, t: int) -> list[Cell]:
 
 
 def detect_first_conflict(paths) -> Conflict | None:
-    """Earliest collision, vertex before edge at equal time, lowest robot pair."""
+    """Earliest collision, vertex before edge at equal time, lowest robot pair.
+
+    One linear pass per timestep. A vertex conflict shows as fewer distinct
+    cells than robots. Positions at t - 1 are then distinct, so a cell ->
+    robot table of them names the one robot j that could have swapped with
+    robot i; scanning i upward finds the lowest pair first.
+    """
     span = max(len(p) for p in paths)
+    n = len(paths)
+    padded = [tuple(p) + (p[-1],) * (span - len(p)) for p in paths]
     prev = None
-    for t in range(span):
-        cur = positions_at(paths, t)
-        seen: dict[Cell, int] = {}
-        for i, cell in enumerate(cur):
-            if cell in seen:
-                return Conflict(t, VERTEX, (seen[cell], i), (cell,))
-            seen[cell] = i
-        if prev is not None:
-            n = len(paths)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if prev[i] == cur[j] and prev[j] == cur[i] and prev[i] != cur[i]:
-                        return Conflict(t, EDGE, (i, j), (prev[i], cur[i]))
+    for t, cur in enumerate(zip(*padded)):
+        if len(set(cur)) < n:
+            seen: dict[Cell, int] = {}
+            for i, cell in enumerate(cur):
+                if cell in seen:
+                    return Conflict(t, VERTEX, (seen[cell], i), (cell,))
+                seen[cell] = i
+        if prev is not None and prev != cur:
+            robot_at = {cell: i for i, cell in enumerate(prev)}
+            for i, cell in enumerate(cur):
+                j = robot_at.get(cell)
+                if j is not None and j != i and cur[j] == prev[i]:
+                    return Conflict(t, EDGE, (i, j), (prev[i], cell))
         prev = cur
     return None
 

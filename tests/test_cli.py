@@ -2,6 +2,9 @@ import argparse
 import json
 import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from mapfgnn.cli import RunConfig, build_parser, main, resolve_config
 from mapfgnn.datastore import load_trace, read_csv, solve_case_pool
 from mapfgnn.errors import ConfigError
 from mapfgnn.executor import NetworkPolicy, compute_metrics, rollout
-from mapfgnn.gridworld import build_gso
+from mapfgnn.gridworld import Case, build_gso
 
 
 def parse(argv):
@@ -202,6 +205,36 @@ class TestExitCodes:
         assert token in err["message"]
         assert not (tmp_path / "m.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"channels": 5},
+            {"timeout_s": "3"},
+            {"width": 20.5},
+            {"channels": [4.7, 4, 8, 8, 16, 16], "features": 16},
+            {"workers": 1.5},
+            {"num_robots": True},
+        ],
+        ids=["channels-int", "timeout-string", "width-float", "channels-float",
+             "workers-float", "robots-bool"],
+    )
+    def test_config_value_of_wrong_type(self, doc, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "m.jsonl"
+        rc = main(["gen-maps", "--out", str(out), "--config", str(path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert next(iter(doc)) in err["message"]
+        assert not out.exists()
+
+    def test_float_field_takes_an_int(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"timeout_s": 3, "density": 0}))
+        config = resolve_config(parse(["gen-maps", "--out", "x", "--config", str(path)]))
+        assert config.timeout_s == 3 and config.density == 0
+
     def test_missing_input_is_io_error(self, tmp_path, capsys):
         rc = main(
             ["gen-cases", "--maps", str(tmp_path / "no.jsonl"),
@@ -246,6 +279,51 @@ def test_a_stage_that_solves_nothing_exits_3(tmp_path, capsys, command, line):
     capsys.readouterr()
     assert main([command, *args, "--timeout-s", "1e-9"]) == 3
     assert capsys.readouterr().err.splitlines()[-1] == line
+
+
+class TestExpertRejectsBadCases:
+    """Cases CBS cannot handle are a ParseError of the cases file, not a
+    crash, a timeout or a silently shortened case."""
+
+    @pytest.mark.parametrize(
+        "rule", ["goal-on-obstacle", "shared-goal", "start-off-map", "more-goals"]
+    )
+    def test_bad_case_is_a_parse_error(self, rule, tmp_path, capsys):
+        maps = tmp_path / "maps.jsonl"
+        assert main(["gen-maps", "--out", str(maps), "--num-maps", "1", "--width", "6",
+                     "--height", "6", "--density", "0.2", "--seed", "3"]) == 0
+        (map_id, grid), = datastore.load_maps(str(maps)).items()
+        f = grid.free_cells()
+        starts, goals = (f[0], f[1]), (f[2], f[3])
+        if rule == "goal-on-obstacle":
+            goals = (f[2], min(grid.obstacles))
+        elif rule == "shared-goal":
+            goals = (f[2], f[2])
+        elif rule == "start-off-map":
+            starts = (f[0], (6, 0))
+        else:
+            goals = (f[2], f[3], f[4])
+        cases = tmp_path / "cases.jsonl"
+        case = Case(map_id=map_id, starts=starts, goals=goals)
+        datastore.save_cases(str(cases), [datastore.CaseRecord("c0", case)])
+        out = tmp_path / "solved.jsonl"
+        capsys.readouterr()
+        rc = main(["expert", "--maps", str(maps), "--cases", str(cases), "--out", str(out)])
+        assert rc == 4
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ParseError" and str(cases) in err["message"]
+        assert not out.exists()
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "mapfgnn", "--version"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == cli.__version__
 
 
 class TestGeneration:

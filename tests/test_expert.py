@@ -125,6 +125,34 @@ def reference_low_level_search(
     raise Unreachable(f"no path {start} -> {goal} within horizon {horizon}")
 
 
+# detect_first_conflict as it stood before the linear scan, verbatim apart
+# from its name and the inlined positions helper.
+
+
+def reference_positions_at(paths, t):
+    return [p[min(t, len(p) - 1)] for p in paths]
+
+
+def reference_detect_first_conflict(paths):
+    span = max(len(p) for p in paths)
+    prev = None
+    for t in range(span):
+        cur = reference_positions_at(paths, t)
+        seen = {}
+        for i, cell in enumerate(cur):
+            if cell in seen:
+                return expert.Conflict(t, expert.VERTEX, (seen[cell], i), (cell,))
+            seen[cell] = i
+        if prev is not None:
+            n = len(paths)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if prev[i] == cur[j] and prev[j] == cur[i] and prev[i] != cur[i]:
+                        return expert.Conflict(t, expert.EDGE, (i, j), (prev[i], cur[i]))
+        prev = cur
+    return None
+
+
 def search_outcome(search, *args):
     try:
         return search(*args)
@@ -247,21 +275,22 @@ class TestLowLevelMatchesReference:
                     )
 
 
-def solve_counted(grid, case, cap):
-    """cbs_solve outcome and its high-level node count, stopped past `cap` nodes."""
+def solve_logged(grid, case, cap):
+    """cbs_solve outcome and the conflict found at each high-level node,
+    stopped past `cap` nodes."""
     original = expert.detect_first_conflict
-    nodes = [0]
+    log = []
 
     class Capped(Exception):
         pass
 
-    def counted(paths):
-        nodes[0] += 1
-        if nodes[0] > cap:
+    def logged(paths):
+        if len(log) == cap:
             raise Capped()
-        return original(paths)
+        log.append(original(paths))
+        return log[-1]
 
-    expert.detect_first_conflict = counted
+    expert.detect_first_conflict = logged
     try:
         outcome = cbs_solve(grid, case)
     except Capped:
@@ -270,7 +299,22 @@ def solve_counted(grid, case, cap):
         outcome = "infeasible"
     finally:
         expert.detect_first_conflict = original
-    return outcome, nodes[0]
+    return outcome, log
+
+
+# A 20x20 / 10-robot case plain CBS cannot solve within 120 s, copied from
+# the benchmark's build workload so that this test depends on no generator.
+HARD_OBSTACLES = (
+    (0, 3), (0, 5), (1, 3), (1, 15), (2, 5), (2, 9), (2, 15), (2, 19), (3, 3), (3, 8),
+    (3, 10), (3, 12), (4, 4), (5, 11), (6, 6), (6, 12), (6, 13), (7, 5), (7, 19), (8, 7),
+    (8, 8), (8, 11), (8, 16), (9, 9), (10, 18), (11, 10), (12, 6), (12, 7), (12, 17),
+    (12, 19), (13, 9), (13, 14), (14, 10), (15, 1), (15, 6), (15, 17), (16, 14), (16, 16),
+    (18, 8), (19, 0),
+)
+HARD_STARTS = ((3, 5), (7, 1), (1, 16), (10, 0), (11, 2), (19, 3), (12, 9), (6, 2), (17, 3),
+               (15, 11))
+HARD_GOALS = ((8, 6), (18, 19), (11, 13), (9, 11), (19, 11), (10, 10), (1, 2), (18, 13),
+              (18, 9), (9, 16))
 
 
 class TestCbsMatchesReference:
@@ -278,7 +322,8 @@ class TestCbsMatchesReference:
         with monkeypatch.context() as mp:
             mp.setattr(expert, "low_level_search", reference_low_level_search)
             mp.setattr(expert, "bfs_distances", reference_bfs)
-            return solve_counted(grid, case, cap)
+            mp.setattr(expert, "detect_first_conflict", reference_detect_first_conflict)
+            return solve_logged(grid, case, cap)
 
     @pytest.mark.parametrize(
         "size, robots, seeds, cap",
@@ -289,10 +334,17 @@ class TestCbsMatchesReference:
         for seed in seeds:
             m = generate_map(size, size, 0.1, seed=seed)
             case = generate_case(m, robots, seed=seed)
-            new = solve_counted(m, case, cap)
+            new = solve_logged(m, case, cap)
             assert new == self.reference_solve(monkeypatch, m, case, cap), f"seed {seed}"
             solved += isinstance(new[0], expert.Plan)
         assert solved >= len(seeds) // 2
+
+    def test_hard_case_first_nodes(self, monkeypatch):
+        grid = GridMap(20, 20, frozenset(HARD_OBSTACLES))
+        case = Case("hard", HARD_STARTS, HARD_GOALS)
+        new = solve_logged(grid, case, 300)
+        assert new[0] == "capped" and len(new[1]) == 300
+        assert new == self.reference_solve(monkeypatch, grid, case, 300)
 
 
 class TestDetectFirstConflict:
@@ -345,6 +397,45 @@ class TestDetectFirstConflict:
         assert c.kind == "vertex"
         assert c.time == 2
         assert c.cells == ((1, 1),)
+
+
+GRID4 = [(x, y) for y in range(4) for x in range(4)]
+
+
+class TestDetectFirstConflictMatchesReference:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(GRID4), min_size=1, max_size=8),
+                    min_size=1, max_size=6))
+    def test_arbitrary_paths(self, paths):
+        assert detect_first_conflict(paths) == reference_detect_first_conflict(paths)
+
+    @pytest.mark.parametrize(
+        "paths, expected",
+        [
+            # robots 1,2 and 0,3 swap arriving t=1: the lowest pair wins
+            (
+                [[(0, 0), (0, 1)], [(2, 0), (3, 0)], [(3, 0), (2, 0)], [(0, 1), (0, 0)]],
+                expert.Conflict(1, "edge", (0, 3), ((0, 0), (0, 1))),
+            ),
+            # robots 0,1 swap while robots 2,3 meet at t=1: vertex first
+            (
+                [[(0, 0), (0, 1)], [(0, 1), (0, 0)], [(2, 2), (2, 3)], [(3, 3), (2, 3)]],
+                expert.Conflict(1, "vertex", (2, 3), ((2, 3),)),
+            ),
+            # robot 0 rests at its goal from t=0; robot 1 idles, then enters it
+            (
+                [[(1, 1)], [(2, 1), (2, 1), (1, 1)]],
+                expert.Conflict(2, "vertex", (0, 1), ((1, 1),)),
+            ),
+            # robot 1 rests beside robot 0's path, which never enters its cell
+            ([[(0, 0), (1, 0), (2, 0), (3, 0)], [(1, 1)]], None),
+            ([[(0, 0), (1, 0), (1, 1), (1, 0)]], None),
+        ],
+        ids=["two-swaps", "vertex-and-edge", "resting-robot", "resting-clean", "single"],
+    )
+    def test_pinned(self, paths, expected):
+        assert detect_first_conflict(paths) == expected
+        assert reference_detect_first_conflict(paths) == expected
 
 
 class TestCbsSolve:
