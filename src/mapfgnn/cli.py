@@ -42,9 +42,11 @@ from .executor import (
     RandomPolicy,
     compute_metrics,
     rollout,
+    rollout_cases,
 )
 from .expert import cbs_solve, joint_bfs_oracle
 from .gridworld import generate_case, generate_map
+from .jsonio import loads, read_int, read_ints, read_real
 from .policy import PolicyArch, PolicyNetwork
 from .training import TrainConfig, fit, split_dataset
 
@@ -100,6 +102,7 @@ class RunConfig:
             (self.num_robots >= 1, "need at least one robot"),
             (self.num_maps >= 0 and self.cases_per_map >= 0, "counts must be >= 0"),
             (self.workers >= 1, "workers must be >= 1"),
+            (self.seed >= 0, "seed must be >= 0"),
             (
                 min(self.split_train, self.split_valid, self.split_test) >= 0
                 and abs(self.split_train + self.split_valid + self.split_test - 1.0)
@@ -169,6 +172,10 @@ def _meta(command: str, config: RunConfig, net=None) -> dict:
     return meta
 
 
+# each RunConfig field's JSON reader, picked by the type of its default
+_READERS = {int: read_int, float: read_real, tuple: read_ints}
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """defaults <- JSON config file <- explicitly passed flags; every key is
     checked, including those the subcommand does not read."""
@@ -177,11 +184,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if path:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh, parse_constant=datastore.refuse_constant)
+                doc = loads(fh.read())
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}")
-        except ValueError as exc:  # JSONDecodeError or a refused constant
-            raise ConfigError(f"config file is not valid JSON: {exc}")
+        except ValueError as exc:
+            raise ConfigError(f"config file: {exc}")
         if not isinstance(doc, dict):
             raise ConfigError("config file must hold a JSON object")
         unknown = sorted(set(doc) - set(values))
@@ -193,23 +200,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if flag is not None:
             values[key] = flag
     for key, value in values.items():
-        if not _type_matches(getattr(RunConfig, key), value):
-            raise ConfigError(f"{key} has the wrong type: {value!r}")
-    values["channels"] = tuple(values["channels"])
+        try:
+            values[key] = _READERS[type(getattr(RunConfig, key))](value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{key}: {exc}")
     config = RunConfig(**values)
     config.validate()
     return config
-
-
-def _type_matches(default, value) -> bool:
-    """Whether a JSON value fits the RunConfig field with this default: an
-    int field takes an int (never a bool), a float field an int or a float,
-    and channels a list of ints."""
-    if isinstance(default, tuple):
-        return isinstance(value, list) and all(type(c) is int for c in value)
-    if isinstance(default, float):
-        return type(value) in (int, float)
-    return type(value) is int
 
 
 # ---------------------------------------------------------------------------
@@ -372,15 +369,10 @@ def _cmd_eval(args, config: RunConfig) -> int:
     if not records:
         raise EmptyInput(f"no cases found for split {args.split!r}")
     net = datastore.load_weights(args.weights) if args.policy == "network" else None
-    trajectories, plans = [], []
-    for i, rec in enumerate(records):
-        policy = _make_policy(args.policy, rec, net)
-        grid = maps[rec.case.map_id]
-        trajectories.append(
-            rollout(policy, grid, rec.case, rec.plan, seed=config.seed + i)
-        )
-        plans.append(rec.plan)
-    report = compute_metrics(trajectories, plans)
+    trajectories = rollout_cases(
+        lambda rec: _make_policy(args.policy, rec, net), maps, records, config.seed
+    )
+    report = compute_metrics(trajectories, [rec.plan for rec in records])
     label = f"{args.policy}:{args.split}"
     if net is not None:
         label += f":K{net.arch.taps}"
@@ -424,6 +416,14 @@ def _cmd_rollout(args, config: RunConfig) -> int:
 
 
 def _cmd_oracle_check(args, config: RunConfig) -> int:
+    for ok, message in [
+        (args.instances >= 1, "--instances must be >= 1"),
+        (args.max_size >= 2, "--max-size must be >= 2"),
+        (args.max_robots >= 1, "--max-robots must be >= 1"),
+        (0.0 <= args.max_density < 1.0, "--max-density must be in [0, 1)"),
+    ]:
+        if not ok:
+            raise ConfigError(message)
     rng = np.random.default_rng([config.seed, _ORACLE_STREAM])
     checked = 0
     mismatches = 0
@@ -478,7 +478,7 @@ def _cmd_report(args, config: RunConfig) -> int:
         id_fields = [f.strip() for f in args.id_fields.split(",") if f.strip()]
     else:
         header, _, _ = datastore.read_csv(args.input)
-        kind = header.get("kind")
+        kind = header["kind"]
         if kind not in _DEFAULT_ID_FIELDS:
             raise ConfigError(
                 f"cannot infer id fields for kind {kind!r}; pass --id-fields"

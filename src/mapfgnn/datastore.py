@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import csv
 import io
-import json
-import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,6 +39,15 @@ from .gridworld import (
     generate_map,
     team_observations,
 )
+from .jsonio import (
+    dumps_canonical,
+    loads,
+    read_cells,
+    read_int,
+    read_ints,
+    read_real,
+    read_str,
+)
 from .policy import PolicyNetwork
 from .training import Dataset, Sample
 
@@ -50,16 +58,6 @@ _MAP_STREAM = 32452843
 _CASE_STREAM = 49979687
 
 
-# ---------------------------------------------------------------------------
-# canonical JSON: fixed key order comes from the caller, floats are spelled by
-# repr (exact for float64), separators are compact
-
-
-def dumps_canonical(value) -> str:
-    """The one encoder for every JSON artifact; non-finite reals raise ValueError."""
-    return json.dumps(value, allow_nan=False, separators=(",", ":"))
-
-
 def atomic_write_text(path: str, text: str) -> None:
     """Write via a temp file and rename so readers never see partials."""
     tmp = f"{path}.tmp"
@@ -68,28 +66,29 @@ def atomic_write_text(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def refuse_constant(token: str):
-    """parse_constant hook: json.loads accepts NaN, Infinity and -Infinity,
-    which no file this program reads may hold (the writers never emit them)."""
-    raise ValueError(f"non-finite number {token}")
+@contextmanager
+def _located(path: str, line: int):
+    """Report what a reader raises as a ParseError at path:line: a missing
+    field (KeyError), a value of the wrong JSON type (TypeError), a broken
+    rule (ValueError), or a ParseError raised without a location."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ParseError(f"missing field {exc}", path=path, line=line) from None
+    except (TypeError, ValueError) as exc:
+        raise ParseError(str(exc), path=path, line=line) from None
+    except ParseError as exc:
+        if exc.path is not None:
+            raise
+        raise ParseError(str(exc), path=path, line=line) from None
 
 
 def _parse_line(line: str, path: str, lineno: int) -> dict:
-    try:
-        doc = json.loads(line, parse_constant=refuse_constant)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", path=path, line=lineno)
-    except ValueError as exc:
-        raise ParseError(f"invalid JSON: {exc}", path=path, line=lineno)
-    if not isinstance(doc, dict):
-        raise ParseError("expected a JSON object", path=path, line=lineno)
+    with _located(path, lineno):
+        doc = loads(line)
+        if type(doc) is not dict:
+            raise TypeError("expected a JSON object")
     return doc
-
-
-def _require(doc: dict, key: str, path: str, lineno: int):
-    if key not in doc:
-        raise ParseError(f"missing field {key!r}", path=path, line=lineno)
-    return doc[key]
 
 
 def _header(kind: str, meta, **extra) -> dict:
@@ -98,15 +97,19 @@ def _header(kind: str, meta, **extra) -> dict:
 
 
 def _check_header(doc: dict, kind: str | None, path: str) -> None:
+    """The schema tag, then a string kind (the given one, if any) and a
+    meta object."""
     tag = doc.get("schema")
     if tag != SCHEMA_VERSION:
         raise VersionMismatch(
             f"{path}: schema tag {tag!r}, expected {SCHEMA_VERSION!r}"
         )
-    if kind is not None and doc.get("kind") != kind:
-        raise ParseError(
-            f"expected kind {kind!r}, found {doc.get('kind')!r}", path=path, line=1
-        )
+    with _located(path, 1):
+        found = read_str(doc["kind"])
+        if kind is not None and found != kind:
+            raise ValueError(f"expected kind {kind!r}, found {found!r}")
+        if type(doc["meta"]) is not dict:
+            raise TypeError(f"meta {doc['meta']!r} is not a JSON object")
 
 
 def _read_text(path: str) -> str:
@@ -132,6 +135,8 @@ def _write_jsonl(path: str, kind: str, records: list, meta=None, **header_extra)
 
 
 def _read_jsonl(path: str, kind: str):
+    """The header and the (record, line number) pairs of a JSON-lines
+    artifact; loaders read each record inside _located at its line."""
     lines = _read_text(path).splitlines()
     if not lines:
         raise ParseError("empty file", path=path, line=1)
@@ -189,13 +194,6 @@ def _cells_to_lists(cells) -> list:
     return [[int(x), int(y)] for x, y in cells]
 
 
-def _cells_from_lists(items, path, lineno) -> tuple:
-    try:
-        return tuple((int(x), int(y)) for x, y in items)
-    except (TypeError, ValueError):
-        raise ParseError("malformed cell list", path=path, line=lineno)
-
-
 def save_maps(path: str, maps: dict[str, GridMap], meta=None) -> None:
     records = []
     for map_id, grid in maps.items():
@@ -213,21 +211,27 @@ def save_maps(path: str, maps: dict[str, GridMap], meta=None) -> None:
 
 
 def load_maps(path: str) -> dict[str, GridMap]:
+    """Maps keyed by map_id, each id once. A map is at least 2x2, every
+    obstacle lies on it, its density is in [0, 1) and its seed an integer or
+    null."""
     _, records = _read_jsonl(path, "maps")
     maps: dict[str, GridMap] = {}
     for doc, lineno in records:
-        map_id = _require(doc, "map_id", path, lineno)
-        if map_id in maps:
-            raise ParseError(f"duplicate map_id {map_id!r}", path=path, line=lineno)
-        maps[map_id] = GridMap(
-            width=int(_require(doc, "width", path, lineno)),
-            height=int(_require(doc, "height", path, lineno)),
-            obstacles=frozenset(
-                _cells_from_lists(_require(doc, "obstacles", path, lineno), path, lineno)
-            ),
-            density=float(_require(doc, "density", path, lineno)),
-            seed=int(_require(doc, "seed", path, lineno)),
-        )
+        with _located(path, lineno):
+            map_id = read_str(doc["map_id"])
+            if map_id in maps:
+                raise ValueError(f"duplicate map_id {map_id!r}")
+            width, height = read_int(doc["width"]), read_int(doc["height"])
+            if width < 2 or height < 2:
+                raise ValueError(f"map is {width}x{height}, below 2x2")
+            obstacles = frozenset(read_cells(doc["obstacles"]))
+            if not all(0 <= x < width and 0 <= y < height for x, y in obstacles):
+                raise ValueError("an obstacle lies off the map")
+            density = read_real(doc["density"])
+            if not 0 <= density < 1:
+                raise ValueError(f"density {density!r} is not in [0, 1)")
+            seed = None if doc["seed"] is None else read_int(doc["seed"])
+            maps[map_id] = GridMap(width, height, obstacles, density=density, seed=seed)
     return maps
 
 
@@ -243,22 +247,32 @@ def _plan_to_doc(plan: Plan) -> dict:
     }
 
 
-def _plan_from_doc(doc: dict, path: str, lineno: int) -> Plan:
-    paths = tuple(
-        _cells_from_lists(p, path, lineno) for p in _require(doc, "paths", path, lineno)
+def _plan_from_doc(doc: dict) -> Plan:
+    """A stored plan as written; validate_plan checks it against its case."""
+    return Plan(
+        paths=tuple(read_cells(p) for p in doc["paths"]),
+        flowtime=read_int(doc["flowtime"]),
+        makespan=read_int(doc["makespan"]),
     )
-    if not paths:
-        raise ParseError("plan has no paths", path=path, line=lineno)
-    plan = Plan(
-        paths=paths,
-        flowtime=int(_require(doc, "flowtime", path, lineno)),
-        makespan=int(_require(doc, "makespan", path, lineno)),
-    )
-    if plan.makespan != max(len(p) - 1 for p in paths):
-        raise ParseError("makespan does not match paths", path=path, line=lineno)
-    if plan.flowtime != sum(len(p) - 1 for p in paths):
-        raise ParseError("flowtime does not match paths", path=path, line=lineno)
-    return plan
+
+
+def _read_team(doc: dict, maps: dict[str, GridMap], cells_key: str):
+    """(map_id, the robots' cells under cells_key, their goals), checked as
+    every case and sample must be: on a known map, as many goals as robots
+    and at least one, every cell free on the map, and no two robots on one
+    cell or one goal."""
+    map_id = read_str(doc["map_id"])
+    grid = maps.get(map_id)
+    if grid is None:
+        raise ValueError(f"unknown map_id {map_id!r}")
+    cells, goals = read_cells(doc[cells_key]), read_cells(doc["goals"])
+    if not cells or len(cells) != len(goals):
+        raise ValueError("robot and goal counts differ or are 0")
+    if len(set(cells)) < len(cells) or len(set(goals)) < len(goals):
+        raise ValueError("two robots share a cell or a goal")
+    if not all(map(grid.is_free, cells + goals)):
+        raise ValueError(f"a cell or goal is not free on {map_id!r}")
+    return map_id, cells, goals
 
 
 def save_cases(path: str, records: list[CaseRecord], meta=None) -> None:
@@ -277,35 +291,28 @@ def save_cases(path: str, records: list[CaseRecord], meta=None) -> None:
 
 
 def load_cases(path: str, maps: dict[str, GridMap]) -> list[CaseRecord]:
-    """Load case records. Starts and goals must be equal in number and
-    non-zero, every one a free cell of the case's map, and no two robots may
-    share a start or a goal; every stored plan is re-validated against its map."""
+    """Load case records, each case_id once. Starts and goals obey
+    _read_team's rules, and every stored plan is re-validated against its
+    map."""
     _, records = _read_jsonl(path, "cases")
     out = []
+    seen = set()
     for doc, lineno in records:
-        map_id = _require(doc, "map_id", path, lineno)
-        if map_id not in maps:
-            raise ParseError(f"unknown map_id {map_id!r}", path=path, line=lineno)
-        starts = _cells_from_lists(_require(doc, "starts", path, lineno), path, lineno)
-        goals = _cells_from_lists(_require(doc, "goals", path, lineno), path, lineno)
-        if not starts or len(starts) != len(goals):
-            raise ParseError("start and goal counts differ or are 0", path=path, line=lineno)
-        if len(set(starts)) < len(starts) or len(set(goals)) < len(goals):
-            raise ParseError("two robots share a start or a goal", path=path, line=lineno)
-        if not all(map(maps[map_id].is_free, starts + goals)):
-            raise ParseError(f"a start or goal is not free on {map_id!r}", path=path, line=lineno)
-        case = Case(map_id=map_id, starts=starts, goals=goals)
-        plan_doc = _require(doc, "plan", path, lineno)
-        plan = None
-        if plan_doc is not None:
-            plan = _plan_from_doc(plan_doc, path, lineno)
-            try:
-                validate_plan(maps[map_id], case, plan)
-            except ValueError as exc:
-                raise ParseError(f"stored plan invalid: {exc}", path=path, line=lineno)
-        out.append(
-            CaseRecord(case_id=_require(doc, "case_id", path, lineno), case=case, plan=plan)
-        )
+        with _located(path, lineno):
+            case_id = read_str(doc["case_id"])
+            if case_id in seen:
+                raise ValueError(f"duplicate case_id {case_id!r}")
+            seen.add(case_id)
+            map_id, starts, goals = _read_team(doc, maps, "starts")
+            case = Case(map_id=map_id, starts=starts, goals=goals)
+            plan = doc["plan"]
+            if plan is not None:
+                plan = _plan_from_doc(plan)
+                try:
+                    validate_plan(maps[map_id], case, plan)
+                except ValueError as exc:
+                    raise ValueError(f"stored plan invalid: {exc}") from None
+            out.append(CaseRecord(case_id=case_id, case=case, plan=plan))
     return out
 
 
@@ -350,60 +357,51 @@ def save_dataset(
 
 
 def load_dataset(path: str, maps: dict[str, GridMap]) -> Dataset:
-    """Samples rebuilt from stored geometry; every position and goal must be
-    a free cell of the sample's map, no two robots may share a cell, and the
-    labels must be a flat list of action indices."""
+    """Samples rebuilt from stored geometry at the header's radii, an
+    integer fov_radius of at least 1 and a comm_radius above 0. Positions and
+    goals obey _read_team's rules, with one label per robot, each an action
+    index."""
     header, records = _read_jsonl(path, "dataset")
-    fov = _require(header, "fov_radius", path, 1)
-    comm = _require(header, "comm_radius", path, 1)
-    if type(fov) is not int or fov < 1:
-        raise ParseError(f"fov_radius {fov!r} is not an integer >= 1", path=path, line=1)
-    if type(comm) not in (int, float) or not 0 < comm < math.inf:
-        raise ParseError(f"comm_radius {comm!r} is not a number > 0", path=path, line=1)
-    comm = float(comm)
+    with _located(path, 1):
+        fov = read_int(header["fov_radius"])
+        comm = read_real(header["comm_radius"])
+        split = read_str(header.get("split", "train"))
+        if fov < 1:
+            raise ValueError(f"fov_radius {fov} is below 1")
+        if comm <= 0:
+            raise ValueError(f"comm_radius {comm!r} is not above 0")
     samples = []
     for doc, lineno in records:
-        map_id = _require(doc, "map_id", path, lineno)
-        if map_id not in maps:
-            raise ParseError(f"unknown map_id {map_id!r}", path=path, line=lineno)
-        grid = maps[map_id]
-        positions = _cells_from_lists(_require(doc, "positions", path, lineno), path, lineno)
-        goals = _cells_from_lists(_require(doc, "goals", path, lineno), path, lineno)
-        labels = _require(doc, "labels", path, lineno)
-        if not isinstance(labels, list) or not all(type(a) is int for a in labels):
-            raise ParseError("labels must be a flat list of integers", path=path, line=lineno)
-        if not positions or not len(positions) == len(goals) == len(labels):
-            raise ParseError("robot, goal, label counts differ or are 0", path=path, line=lineno)
-        if len(set(positions)) < len(positions):
-            raise ParseError("two robots share a cell", path=path, line=lineno)
-        if not all(map(grid.is_free, positions + goals)):
-            raise ParseError(f"a cell is not free on {map_id!r}", path=path, line=lineno)
-        if not all(0 <= a < NUM_ACTIONS for a in labels):
-            raise ParseError(f"labels must lie in [0, {NUM_ACTIONS})", path=path, line=lineno)
-        samples.append(
-            Sample(
-                case_id=_require(doc, "case_id", path, lineno),
-                t=int(_require(doc, "t", path, lineno)),
-                obs=team_observations(grid, positions, goals, fov).astype(np.uint8),
-                gso=build_gso(positions, comm).matrix,
-                labels=np.array(labels, dtype=np.int64),
-                map_id=map_id,
-                positions=positions,
-                goals=goals,
+        with _located(path, lineno):
+            map_id, positions, goals = _read_team(doc, maps, "positions")
+            labels = read_ints(doc["labels"])
+            if len(labels) != len(positions):
+                raise ValueError("label and robot counts differ")
+            if not all(0 <= a < NUM_ACTIONS for a in labels):
+                raise ValueError(f"labels must lie in [0, {NUM_ACTIONS})")
+            samples.append(
+                Sample(
+                    case_id=read_str(doc["case_id"]),
+                    t=read_int(doc["t"]),
+                    obs=team_observations(maps[map_id], positions, goals, fov).astype(np.uint8),
+                    gso=build_gso(positions, comm).matrix,
+                    labels=np.array(labels, dtype=np.int64),
+                    map_id=map_id,
+                    positions=positions,
+                    goals=goals,
+                )
             )
-        )
-    return Dataset(
-        split=str(header.get("split", "train")),
-        samples=samples,
-        fov_radius=fov,
-        comm_radius=comm,
-    )
+    return Dataset(split=split, samples=samples, fov_radius=fov, comm_radius=comm)
 
 
 def load_dataset_case_ids(path: str) -> set[str]:
     """Case ids of a dataset file, without rebuilding any observation."""
     _, records = _read_jsonl(path, "dataset")
-    return {_require(doc, "case_id", path, lineno) for doc, lineno in records}
+    ids = set()
+    for doc, lineno in records:
+        with _located(path, lineno):
+            ids.add(read_str(doc["case_id"]))
+    return ids
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +415,8 @@ def save_weights(path: str, net: PolicyNetwork, meta=None) -> None:
 
 def load_weights(path: str) -> PolicyNetwork:
     doc = _read_document(path, "weights")
-    return PolicyNetwork.from_jsonable(_require(doc, "model", path, 1))
+    with _located(path, 1):
+        return PolicyNetwork.from_jsonable(doc["model"])
 
 
 def save_trace(path: str, traj: Trajectory, case_id: str = "", meta=None) -> None:
@@ -438,8 +437,9 @@ def save_trace(path: str, traj: Trajectory, case_id: str = "", meta=None) -> Non
 
 def load_trace(path: str) -> dict:
     doc = _read_document(path, "trace")
-    for key in ("case_id", "map_id", "positions", "success", "arrivals"):
-        _require(doc, key, path, 1)
+    missing = [k for k in ("case_id", "map_id", "positions", "success", "arrivals") if k not in doc]
+    if missing:
+        raise ParseError(f"missing field {missing[0]!r}", path=path, line=1)
     return doc
 
 
@@ -572,7 +572,7 @@ def write_long_csv(in_path: str, out_path: str, id_fields: list[str], meta=None)
             out["metric"] = metric
             out["value"] = row[metric]
             out_rows.append(out)
-    merged = dict(header.get("meta", {}))
+    merged = dict(header["meta"])
     if meta:
         merged.update(meta)
     write_csv(out_path, "long", id_fields + ["metric", "value"], out_rows, meta=merged)

@@ -218,6 +218,15 @@ def rollout(
     )
 
 
+def rollout_cases(policy_for, maps: dict[str, GridMap], records, seed: int) -> list[Trajectory]:
+    """One rollout per solved case record, rollout i of policy_for(record)
+    at seed + i: the loop behind evaluation and the online expert."""
+    return [
+        rollout(policy_for(rec), maps[rec.case.map_id], rec.case, rec.plan, seed=seed + i)
+        for i, rec in enumerate(records)
+    ]
+
+
 def compute_metrics(trajectories, plans) -> MetricsReport:
     """Success rate, flowtime increase, and robots-at-goal histogram."""
     if not trajectories:

@@ -16,6 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NonFiniteGradient, ShapeMismatch
+from .jsonio import read_ints, read_numbers
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
@@ -64,6 +65,8 @@ class ParamStore:
         return doc
 
     def load_jsonable(self, doc: dict) -> None:
+        """Restore what to_jsonable wrote: names or a shape other than the
+        store's raise ShapeMismatch, values read_numbers rejects ValueError."""
         targets = dict(self.params)
         targets.update(self.state)
         missing = set(targets) - set(doc)
@@ -74,15 +77,11 @@ class ParamStore:
             )
         for name, arr in targets.items():
             entry = doc[name]
-            if tuple(entry["shape"]) != arr.shape:
+            if read_ints(entry["shape"]) != arr.shape:
                 raise ShapeMismatch(
                     f"{name}: stored shape {entry['shape']} vs expected {arr.shape}"
                 )
-            values = np.asarray(entry["values"], dtype=np.float64).reshape(arr.shape)
-            # a JSON null reads as NaN; the writers never emit a non-finite value
-            if not np.isfinite(values).all():
-                raise ValueError(f"{name}: stored values are not all finite")
-            arr[...] = values
+            arr[...] = read_numbers(entry["values"], arr.size, name).reshape(arr.shape)
 
 
 @functools.cache

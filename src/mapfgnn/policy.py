@@ -7,12 +7,13 @@ away in the communication graph, and K=1 makes robots fully independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParseError, ShapeMismatch, VersionMismatch
 from .gridworld import DEFAULT_COMM_RADIUS, DEFAULT_FOV_RADIUS, NUM_ACTIONS
+from .jsonio import read_int, read_ints, read_real
 from .nn_core import (
     BatchNorm2d,
     Conv2d,
@@ -47,7 +48,7 @@ class PolicyArch:
             raise ValueError("fov_radius must be >= 1")
         if not self.comm_radius > 0:
             raise ValueError("comm_radius must be positive")
-        if self.channels[-1] != self.features:
+        if not self.channels or self.channels[-1] != self.features:
             raise ValueError("last CNN channel count must equal feature width")
         if self.taps < 1:
             raise ValueError("need at least one filter tap")
@@ -70,14 +71,15 @@ class PolicyArch:
         """The arch a weights file records; a missing key, a value of the
         wrong JSON type or a broken rule raises ParseError."""
         try:
-            values = {f.name: doc[f.name] for f in fields(cls)}
-            arch = cls(**values | {"channels": tuple(values["channels"])})
-            counts = (arch.fov_radius, arch.taps, arch.features) + arch.channels
-            if not all(type(v) is int for v in counts) or type(arch.comm_radius) is not float:
-                raise TypeError("radii, taps or widths have the wrong JSON type")
+            return cls(
+                fov_radius=read_int(doc["fov_radius"]),
+                comm_radius=read_real(doc["comm_radius"]),
+                taps=read_int(doc["taps"]),
+                features=read_int(doc["features"]),
+                channels=read_ints(doc["channels"]),
+            )
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"weights arch is invalid: {exc!r}")
-        return arch
 
 
 class PolicyNetwork:

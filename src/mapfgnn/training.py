@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ParseError
-from .executor import NetworkPolicy, rollout
+from .executor import NetworkPolicy, rollout_cases
 from .expert import DEFAULT_TIMEOUT_S, Plan, plan_to_labels, positions_at
 from .gridworld import (
     DEFAULT_COMM_RADIUS,
@@ -27,6 +27,7 @@ from .gridworld import (
     build_gso,
     team_observations,
 )
+from .jsonio import read_int, read_numbers
 from .nn_core import log_softmax, one_hot
 from .policy import PolicyNetwork
 
@@ -163,9 +164,9 @@ class AdamState:
         non-negative int raises ParseError and leaves the state as it was.
         """
         try:
-            t = doc["t"]
-            if type(t) is not int or t < 0:
-                raise ValueError(f"step count {t!r} is not a non-negative int")
+            t = read_int(doc["t"])
+            if t < 0:
+                raise ValueError(f"step count {t} is negative")
             loaded = []
             for moment, buffers in (("m", self.m), ("v", self.v)):
                 stored = doc[moment]
@@ -175,15 +176,8 @@ class AdamState:
                         f"{moment} names differ: missing {sorted(missing)}, extra {sorted(extra)}"
                     )
                 for name, arr in buffers.items():
-                    values = np.asarray(stored[name])
-                    if values.shape != (arr.size,):
-                        raise ValueError(
-                            f"{moment}[{name}]: {values.shape} values, expected ({arr.size},)"
-                        )
-                    # a null or a string among the numbers makes the dtype non-numeric
-                    if values.dtype.kind not in "iuf" or not np.isfinite(values).all():
-                        raise ValueError(f"{moment}[{name}]: values are not all finite numbers")
-                    loaded.append((arr, values.astype(np.float64).reshape(arr.shape)))
+                    values = read_numbers(stored[name], arr.size, f"{moment}[{name}]")
+                    loaded.append((arr, values.reshape(arr.shape)))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"optimizer state is invalid: {exc!r}")
         self.t = t
@@ -315,7 +309,9 @@ def aggregate_online_expert(
     the failure positions to the original goals. The repairs go through the
     dataset pipeline's solve_case_pool, which drops and logs the ones the
     expert times out on or cannot solve, and expand_samples; their timestep
-    samples extend the train split. Other splits are never touched.
+    samples extend the train split. Other splits are never touched. The
+    rollouts run through rollout_cases at seeds 0, 1, ...; the greedy policy
+    draws no random numbers, so the seeds cannot move them.
     policy_factory(record) -> policy overrides the trained policy (stubs in
     tests). Returns (cases rolled, failures, repairs added, samples added).
     """
@@ -328,13 +324,11 @@ def aggregate_online_expert(
     if policy_factory is None:
         shared = NetworkPolicy(net, mode="greedy")
         policy_factory = lambda rec: shared
+    records = [train_records[int(idx)] for idx in picks]
     failed = []
-    for idx in picks:
-        rec = train_records[int(idx)]
-        case = rec.case
-        traj = rollout(policy_factory(rec), maps[case.map_id], case, rec.plan, seed=0)
+    for rec, traj in zip(records, rollout_cases(policy_factory, maps, records, seed=0)):
         if not traj.success:
-            repair = Case(case.map_id, traj.positions[-1], case.goals)
+            repair = Case(rec.case.map_id, traj.positions[-1], rec.case.goals)
             failed.append(CaseRecord(f"{rec.case_id}/oe{epoch}", repair))
     repaired = solve_case_pool(maps, failed, timeout_s=config.timeout_s, log=log)
     added = expand_samples(

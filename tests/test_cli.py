@@ -706,6 +706,69 @@ class TestOracleCheck:
         assert rc == 0
         assert "mismatches: 0" in out
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--instances", "0"), ("--instances", "-3"), ("--max-size", "1"),
+         ("--max-robots", "0"), ("--max-density", "1.5"), ("--max-density", "nan")],
+    )
+    def test_flag_out_of_range_is_a_config_error(self, flag, value, capsys):
+        rc = main(["oracle-check", flag, value])
+        captured = capsys.readouterr()
+        assert rc == 2
+        err = json.loads(captured.err.strip())
+        assert err["error"] == "ConfigError" and flag in err["message"]
+        assert "checked" not in captured.out
+
+
+def _edit_jsonl(path, line, edit):
+    """Apply edit to the JSON document on a line of an artifact."""
+    docs = [json.loads(text) for text in path.read_text().splitlines()]
+    edit(docs[line - 1])
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+
+
+def _set_first_weight(doc):
+    doc["model"]["params"]["mlp.head.bias"]["values"][0] = "1.5"
+
+
+@pytest.mark.parametrize(
+    "artifact, line, edit",
+    [
+        ("maps.jsonl", 2, lambda doc: doc.update(width=6.9)),
+        ("cases.jsonl", 3, lambda doc: doc.update(case_id=5)),
+        ("dataset.train.jsonl", 2, lambda doc: doc.update(t=0.9)),
+        ("model.json", 1, _set_first_weight),
+    ],
+    ids=["maps", "cases", "dataset", "weights"],
+)
+def test_a_refused_value_exits_4_with_one_json_line(workspace, tmp_path, artifact, line, edit):
+    _, data_dir, run_dir, config = workspace
+    broken_dir = tmp_path / "data"
+    shutil.copytree(data_dir, broken_dir)
+    shutil.copy(run_dir / "model.json", broken_dir)
+    broken = broken_dir / artifact
+    _edit_jsonl(broken, line, edit)
+    out = tmp_path / "out"
+    argv = {
+        "maps.jsonl": ["gen-cases", "--maps", str(broken), "--out", str(out)],
+        "cases.jsonl": ["expert", "--maps", str(broken_dir / "maps.jsonl"), "--cases",
+                        str(broken), "--out", str(out)],
+        "dataset.train.jsonl": ["train", "--data-dir", str(broken_dir), "--out-dir", str(out),
+                                "--config", config, "--epochs", "1"],
+        "model.json": ["eval", "--data-dir", str(broken_dir), "--out-dir", str(out),
+                       "--weights", str(broken_dir / "model.json")],
+    }[artifact]
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "mapfgnn", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=120,
+    )
+    assert done.returncode == 4, done.stderr
+    (line_out,) = done.stderr.splitlines()
+    err = json.loads(line_out)
+    assert err["error"] == "ParseError" and f"{broken}:{line}" in err["message"]
+    assert not out.exists() or not any(out.iterdir())
+
 
 class TestWorkers:
     def test_parallel_expert_matches_serial(self, tmp_path):
