@@ -308,9 +308,12 @@ def _cmd_train(args, config: RunConfig) -> int:
         train_ids = train_ds.case_ids()
         pool = datastore.load_cases(cases_path, maps)
         train_records = [rec for rec in pool if rec.case_id in train_ids]
-    arch = replace(
-        config.arch(), fov_radius=train_ds.fov_radius, comm_radius=train_ds.comm_radius
-    )
+    try:
+        arch = replace(
+            config.arch(), fov_radius=train_ds.fov_radius, comm_radius=train_ds.comm_radius
+        )
+    except ValueError as exc:
+        raise ConfigError(f"the train split's radii make no valid arch: {exc}")
     net = PolicyNetwork(arch, seed=config.seed)
     meta = _meta("train", config, net)
     weights_path = os.path.join(args.out_dir, "model.json")

@@ -4,10 +4,15 @@ artifacts, weights, optimizer state and the config file.
 Each reader takes a value as json.loads returns it and returns it as the
 program uses it, or raises TypeError or ValueError; callers add where the
 value came from (a file and line, or a config field).
+
+A float64 array (a weight, an optimizer moment) is one JSON string: the
+base64 text of its little-endian IEEE-754 bytes in C order. Every array has
+exactly one spelling, and it decodes to the bits it was written from.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import sys
 
@@ -80,17 +85,31 @@ def read_cells(value) -> tuple:
     return tuple([(x, y) for x, y in value])
 
 
-def read_numbers(value, n: int, name: str) -> np.ndarray:
-    """The values of array `name`, a flat list of exactly n finite JSON
-    numbers (no bool, string or null), as a float64 array."""
-    if type(value) is not list:
-        raise TypeError(f"{name}: values are not a list")
-    if len(value) != n or not set(map(type, value)) <= {int, float}:
-        raise ValueError(f"{name}: values are not a flat list of {n} numbers")
+def encode_float64s(array) -> str:
+    """The base64 text of a float64 array's little-endian bytes in C order;
+    a NaN or an infinity raises ValueError, as in dumps_canonical."""
+    array = np.ascontiguousarray(array, dtype="<f8")
+    if not np.isfinite(array).all():
+        raise ValueError("float64le values are not all finite")
+    return base64.b64encode(array.tobytes()).decode("ascii")
+
+
+def read_float64s(value, n: int, name: str) -> np.ndarray:
+    """Array `name`, n finite float64s, from exactly the text encode_float64s
+    writes for them (a JSON string of canonical, padded base64 with no
+    whitespace), as a read-only flat array."""
+    if type(value) is not str:
+        raise TypeError(f"{name}: float64le is not a JSON string")
     try:
-        array = np.array(value, dtype=np.float64)
-        if np.isfinite(array).all():
-            return array
-    except OverflowError:  # an int beyond float range
-        pass
-    raise ValueError(f"{name}: values are not all finite")
+        raw = base64.b64decode(value, validate=True)
+    except ValueError as exc:  # a character outside the alphabet, bad padding
+        raise ValueError(f"{name}: float64le is not base64 ({exc})") from None
+    if len(raw) != 8 * n:
+        raise ValueError(f"{name}: float64le holds {len(raw)} bytes, not {8 * n}")
+    # unused low bits of the last character make a second spelling
+    if base64.b64encode(raw).decode("ascii") != value:
+        raise ValueError(f"{name}: float64le is not canonical base64")
+    array = np.frombuffer(raw, dtype="<f8")
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name}: values are not all finite")
+    return array

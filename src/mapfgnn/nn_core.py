@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NonFiniteGradient, ShapeMismatch
-from .jsonio import read_ints, read_numbers
+from .jsonio import encode_float64s, read_float64s, read_ints
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
@@ -31,7 +31,9 @@ class ParamStore:
     """Flat named view of a pipeline's parameters, gradients, and state.
 
     Arrays are shared with the owning layers, so in-place optimizer updates
-    propagate; nothing here may rebind an array.
+    propagate; nothing here may rebind an array. Its JSON form maps each
+    parameter and state array's name to its shape and its float64le text
+    (jsonio.encode_float64s), which holds the array's exact bits.
     """
 
     def __init__(self):
@@ -61,12 +63,13 @@ class ParamStore:
     def to_jsonable(self) -> dict:
         doc = {}
         for name, arr in list(self.params.items()) + list(self.state.items()):
-            doc[name] = {"shape": list(arr.shape), "values": arr.ravel().tolist()}
+            doc[name] = {"shape": list(arr.shape), "float64le": encode_float64s(arr)}
         return doc
 
     def load_jsonable(self, doc: dict) -> None:
         """Restore what to_jsonable wrote: names or a shape other than the
-        store's raise ShapeMismatch, values read_numbers rejects ValueError."""
+        store's raise ShapeMismatch, a float64le value read_float64s refuses
+        TypeError or ValueError."""
         targets = dict(self.params)
         targets.update(self.state)
         missing = set(targets) - set(doc)
@@ -81,7 +84,7 @@ class ParamStore:
                 raise ShapeMismatch(
                     f"{name}: stored shape {entry['shape']} vs expected {arr.shape}"
                 )
-            arr[...] = read_numbers(entry["values"], arr.size, name).reshape(arr.shape)
+            arr[...] = read_float64s(entry["float64le"], arr.size, name).reshape(arr.shape)
 
 
 @functools.cache

@@ -25,7 +25,7 @@ from .nn_core import (
     softmax,
 )
 
-WEIGHTS_FORMAT = "mapfgnn-weights-v2"
+WEIGHTS_FORMAT = "mapfgnn-weights-v3"
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,9 @@ class PolicyArch:
 
     Both radii belong to the policy: the CNN reads a (2*fov_radius+1)^2
     window, and the graph filter's taps are learned for the shift operator
-    of one communication radius.
+    of one communication radius. The CNN has six conv layers and three 2x2
+    max-pools, which bring the window to exactly 1x1 only for a radius of
+    4 to 7.
     """
 
     fov_radius: int = DEFAULT_FOV_RADIUS
@@ -44,11 +46,16 @@ class PolicyArch:
     channels: tuple[int, ...] = (32, 32, 64, 64, 128, 128)
 
     def __post_init__(self):
-        if self.fov_radius < 1:
-            raise ValueError("fov_radius must be >= 1")
+        if not 4 <= self.fov_radius <= 7:
+            raise ValueError(
+                f"fov_radius must be 4 to 7, the radii whose window three 2x2 pools "
+                f"bring to 1x1; got {self.fov_radius}"
+            )
         if not self.comm_radius > 0:
             raise ValueError("comm_radius must be positive")
-        if not self.channels or self.channels[-1] != self.features:
+        if len(self.channels) != 6 or min(self.channels) < 1:
+            raise ValueError(f"channels must list six positive CNN widths, got {self.channels}")
+        if self.channels[-1] != self.features:
             raise ValueError("last CNN channel count must equal feature width")
         if self.taps < 1:
             raise ValueError("need at least one filter tap")
@@ -162,8 +169,9 @@ class PolicyNetwork:
     @classmethod
     def from_jsonable(cls, doc: dict) -> "PolicyNetwork":
         """The network a weights file records; a broken arch or params block
-        (missing, an entry without shape or values, a value count or stored
-        shape other than the arch's) raises ParseError."""
+        (missing, an entry without shape or float64le, a float64le value
+        jsonio.read_float64s refuses, a stored shape other than the arch's)
+        raises ParseError, and another format tag VersionMismatch."""
         if doc.get("format") != WEIGHTS_FORMAT:
             raise VersionMismatch(
                 f"weights format {doc.get('format')!r}, expected {WEIGHTS_FORMAT!r}"

@@ -27,7 +27,7 @@ from .gridworld import (
     build_gso,
     team_observations,
 )
-from .jsonio import read_int, read_numbers
+from .jsonio import encode_float64s, read_float64s, read_int
 from .nn_core import log_softmax, one_hot
 from .policy import PolicyNetwork
 
@@ -140,7 +140,11 @@ def cosine_lr(epoch: int, config: TrainConfig) -> float:
 
 
 class AdamState:
-    """First/second moment buffers plus the bias-correction step count."""
+    """First/second moment buffers plus the bias-correction step count.
+
+    Its JSON form holds the step count and, per moment, each parameter's
+    buffer as float64le text (jsonio.encode_float64s), exact to the bit.
+    """
 
     def __init__(self, store):
         self.m = {k: np.zeros_like(p) for k, p in store.params.items()}
@@ -150,18 +154,19 @@ class AdamState:
     def to_jsonable(self) -> dict:
         return {
             "t": self.t,
-            "m": {k: a.ravel().tolist() for k, a in self.m.items()},
-            "v": {k: a.ravel().tolist() for k, a in self.v.items()},
+            "m": {k: encode_float64s(a) for k, a in self.m.items()},
+            "v": {k: encode_float64s(a) for k, a in self.v.items()},
         }
 
     def load_jsonable(self, doc: dict) -> None:
         """Restore a state to_jsonable wrote for the same parameters.
 
         Every check runs before anything is assigned: a missing or extra
-        parameter name, a value list that is not flat or has another length
-        than the parameter, a value that is not a finite number (null, a
-        string, NaN or an infinity), or a step count that is not a
-        non-negative int raises ParseError and leaves the state as it was.
+        parameter name, a buffer that is not the float64le text
+        read_float64s accepts (not a string, not canonical base64, another
+        length than the parameter, or a NaN or an infinity), or a step count
+        that is not a non-negative int raises ParseError and leaves the
+        state as it was.
         """
         try:
             t = read_int(doc["t"])
@@ -176,7 +181,7 @@ class AdamState:
                         f"{moment} names differ: missing {sorted(missing)}, extra {sorted(extra)}"
                     )
                 for name, arr in buffers.items():
-                    values = read_numbers(stored[name], arr.size, f"{moment}[{name}]")
+                    values = read_float64s(stored[name], arr.size, f"{moment}[{name}]")
                     loaded.append((arr, values.reshape(arr.shape)))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"optimizer state is invalid: {exc!r}")

@@ -1,4 +1,5 @@
 import argparse
+import base64
 import json
 import os
 import shutil
@@ -22,6 +23,16 @@ def parse(argv):
 
 
 TINY_ARCH = {"channels": [4, 4, 8, 8, 16, 16], "features": 16}
+
+
+def _float64s(entry) -> list:
+    """The values of a weights file's float64le entry."""
+    return np.frombuffer(base64.b64decode(entry["float64le"]), dtype="<f8").tolist()
+
+
+def _float64le(values) -> str:
+    """float64le text for any float64 values, the non-finite ones too."""
+    return base64.b64encode(np.array(values, dtype="<f8").tobytes()).decode("ascii")
 
 
 def write_config(tmp_path, extra=None):
@@ -572,6 +583,23 @@ class TestWeightsOwnTheRadius:
         assert doc["positions"] == [[list(cell) for cell in step] for step in traj.positions]
         assert doc["meta"]["arch"]["comm_radius"] == 2.0
 
+    def test_v2_weights_are_a_version_mismatch(self, radius2_workspace, capsys):
+        # the v2 spelling: each array a flat list of decimal numbers
+        tmp_path, data_dir, weights, _, _ = radius2_workspace
+        doc = json.loads(weights.read_text())
+        doc["model"]["format"] = "mapfgnn-weights-v2"
+        for entry in doc["model"]["params"].values():
+            entry["values"] = _float64s(entry)
+            del entry["float64le"]
+        old = tmp_path / "model_v2.json"
+        old.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["eval", "--data-dir", str(data_dir), "--out-dir", str(tmp_path / "v2"),
+                   "--weights", str(old)])
+        assert rc == 4
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "VersionMismatch"
+        assert not any((tmp_path / "v2").iterdir())
+
     def test_v1_weights_are_a_version_mismatch(self, radius2_workspace, capsys):
         tmp_path, data_dir, weights, _, _ = radius2_workspace
         doc = json.loads(weights.read_text())
@@ -590,7 +618,7 @@ class TestWeightsOwnTheRadius:
     @pytest.mark.parametrize(
         "rule",
         ["missing_key", "ill_typed", "no_params", "no_values", "value_short", "shape_differs",
-         "null_value", "nan_token"],
+         "null_value", "nan_token", "fov_radius_unrunnable", "channels_five"],
     )
     def test_broken_arch_is_a_parse_error(self, radius2_workspace, rule, capsys):
         tmp_path, data_dir, weights, _, _ = radius2_workspace
@@ -601,17 +629,20 @@ class TestWeightsOwnTheRadius:
             del model["arch"]["taps"]
         elif rule == "ill_typed":
             model["arch"]["taps"] = "3"
+        elif rule == "fov_radius_unrunnable":
+            model["arch"]["fov_radius"] = 2
+        elif rule == "channels_five":
+            del model["arch"]["channels"][0]
         elif rule == "no_params":
             del model["params"]
         elif rule == "no_values":
-            del entry["values"]
+            del entry["float64le"]
         elif rule == "value_short":
-            entry["values"].pop()
+            entry["float64le"] = _float64le(_float64s(entry)[:-1])
         elif rule == "null_value":
-            entry["values"][0] = None
+            entry["float64le"] = None
         elif rule == "nan_token":
-            # json.dumps spells it NaN, a token json.loads would accept
-            entry["values"][0] = float("nan")
+            entry["float64le"] = _float64le([float("nan"), *_float64s(entry)[1:]])
         else:
             entry["shape"] = entry["shape"][::-1]
         broken = tmp_path / f"model_{rule}.json"
@@ -620,7 +651,32 @@ class TestWeightsOwnTheRadius:
         rc = main(["eval", "--data-dir", str(data_dir), "--out-dir", str(tmp_path / rule),
                    "--weights", str(broken)])
         assert rc == 4
-        assert json.loads(capsys.readouterr().err.strip())["error"] == "ParseError"
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ParseError" and f"{broken}:1" in err["message"]
+
+    def test_build_dataset_refuses_a_fov_radius_the_cnn_cannot_run(self, tmp_path, capsys):
+        out_dir = tmp_path / "data"
+        rc = main(["build-dataset", "--out-dir", str(out_dir), "--num-maps", "2",
+                   "--cases-per-map", "3", "--robots", "2", "--width", "6", "--height", "6",
+                   "--seed", "1", "--fov-radius", "2"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError" and "fov_radius" in err["message"]
+        assert not out_dir.exists()
+
+    def test_train_refuses_a_split_radius_the_cnn_cannot_run(self, radius2_workspace, capsys):
+        tmp_path, data_dir, _, config, _ = radius2_workspace
+        broken = tmp_path / "data_fov2"
+        shutil.copytree(data_dir, broken)
+        _edit_jsonl(broken / "dataset.train.jsonl", 1, lambda header: header.update(fov_radius=2))
+        run_dir = tmp_path / "run_fov2"
+        capsys.readouterr()
+        rc = main(["train", "--data-dir", str(broken), "--out-dir", str(run_dir),
+                   "--config", config, "--epochs", "1"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError" and "fov_radius" in err["message"]
+        assert not (run_dir / "model.json").exists()
 
     @pytest.mark.parametrize("rule", ["comm_radius_zero", "no_radii"])
     def test_broken_dataset_radii_are_a_parse_error(self, radius2_workspace, rule, capsys):
@@ -727,8 +783,30 @@ def _edit_jsonl(path, line, edit):
     path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
 
 
-def _set_first_weight(doc):
-    doc["model"]["params"]["mlp.head.bias"]["values"][0] = "1.5"
+def _set_head_bias(spell):
+    """Replace the head bias's float64le text (5 values: 40 bytes, 56
+    characters ending in "==") by spell(its values, its text)."""
+
+    def edit(doc):
+        entry = doc["model"]["params"]["mlp.head.bias"]
+        entry["float64le"] = spell(_float64s(entry), entry["float64le"])
+
+    return edit
+
+
+# each float64le value the weights reader refuses, in a file; "weights" is
+# the decimal list a v2 file held
+_REFUSED_WEIGHTS = {
+    "weights": lambda values, text: values,
+    "weights-non-alphabet": lambda values, text: text[:5] + "." + text[6:],
+    "weights-no-padding": lambda values, text: text.rstrip("="),
+    "weights-whitespace": lambda values, text: text[:28] + " " + text[28:],
+    "weights-8-short": lambda values, text: _float64le(values[:-1]),
+    "weights-8-long": lambda values, text: _float64le([*values, 0.5]),
+    "weights-nan": lambda values, text: _float64le([float("nan"), *values[1:]]),
+    "weights-inf": lambda values, text: _float64le([*values[:-1], float("inf")]),
+    "weights-minus-inf": lambda values, text: _float64le([float("-inf"), *values[1:]]),
+}
 
 
 @pytest.mark.parametrize(
@@ -737,9 +815,9 @@ def _set_first_weight(doc):
         ("maps.jsonl", 2, lambda doc: doc.update(width=6.9)),
         ("cases.jsonl", 3, lambda doc: doc.update(case_id=5)),
         ("dataset.train.jsonl", 2, lambda doc: doc.update(t=0.9)),
-        ("model.json", 1, _set_first_weight),
+        *[("model.json", 1, _set_head_bias(spell)) for spell in _REFUSED_WEIGHTS.values()],
     ],
-    ids=["maps", "cases", "dataset", "weights"],
+    ids=["maps", "cases", "dataset", *_REFUSED_WEIGHTS],
 )
 def test_a_refused_value_exits_4_with_one_json_line(workspace, tmp_path, artifact, line, edit):
     _, data_dir, run_dir, config = workspace

@@ -2,7 +2,12 @@
 byte for byte, and each value the writers never emit is refused with the
 file and line it came from (or, in the config file, the field)."""
 
+import base64
 import json
+import math
+import string
+import struct
+import sys
 
 import numpy as np
 import pytest
@@ -61,18 +66,91 @@ class TestReaders:
         with pytest.raises(TypeError):
             jsonio.read_cells(value)
 
-    @pytest.mark.parametrize(
-        "value",
-        [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [1.0, 2.0, True], [1.0, 2.0, "3"], [1.0, 2.0, None],
-         [[1.0], [2.0], [3.0]], [1.0, 2.0, 1e999], [1.0, 2.0, 10**400], {"a": 1.0}],
-    )
-    def test_numbers_are_a_flat_list_of_n_finite_numbers(self, value):
-        with pytest.raises((TypeError, ValueError), match="w"):
-            jsonio.read_numbers(value, 3, "w")
 
-    def test_numbers_take_ints(self):
-        values = jsonio.read_numbers([1, -0.0, 5e-324], 3, "w")
-        assert values.tobytes() == np.array([1.0, -0.0, 5e-324]).tobytes()
+# ---------------------------------------------------------------------------
+# the float64le codec: one exact spelling per array
+
+
+def _bits(values) -> bytes:
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+def _with_first(value: float) -> str:
+    """The text of [value, 1.0], written past the encoder's own checks."""
+    return base64.b64encode(struct.pack("<dd", value, 1.0)).decode("ascii")
+
+
+def _with_last(value: float) -> str:
+    """The text of [1.0, value], written past the encoder's own checks."""
+    return base64.b64encode(struct.pack("<dd", 1.0, value)).decode("ascii")
+
+
+def _non_canonical(text: str) -> str:
+    """text, ending in "==", with a low bit set in its last data character,
+    which the four bits it holds past the last byte leave unused."""
+    alphabet = string.ascii_uppercase + string.ascii_lowercase + string.digits + "+/"
+    return text[:-3] + alphabet[alphabet.index(text[-3]) + 1] + "=="
+
+
+# two float64s are 16 bytes: 24 characters ending in "=="
+PAIR = jsonio.encode_float64s(np.array([0.5, -2.25]))
+
+# each value read_float64s must refuse for an array of two, with the rule
+# its message names
+REFUSED_FLOAT64S = {
+    "list": ([0.5, -2.25], "not a JSON string"),
+    "nested": ([[0.5], [-2.25]], "not a JSON string"),
+    "bool": (True, "not a JSON string"),
+    "null": (None, "not a JSON string"),
+    "dict": ({"a": 0.5}, "not a JSON string"),
+    "non-alphabet": (PAIR[:3] + "." + PAIR[4:], "not base64"),
+    "urlsafe-alphabet": (PAIR[:3] + "-" + PAIR[4:], "not base64"),
+    "non-ascii": (PAIR[:3] + "\u00e9" + PAIR[4:], "not base64"),
+    "no-padding": (PAIR.rstrip("="), "not base64"),
+    "whitespace": (PAIR[:12] + "\n" + PAIR[12:], "not base64"),
+    "trailing-newline": (PAIR + "\n", "not base64"),
+    "non-canonical": (_non_canonical(PAIR), "not canonical"),
+    "empty": ("", "holds 0 bytes, not 16"),
+    "short-8": (jsonio.encode_float64s(np.array([0.5])), "holds 8 bytes, not 16"),
+    "long-8": (jsonio.encode_float64s(np.array([0.5, -2.25, 1.0])), "holds 24 bytes, not 16"),
+    "nan": (_with_first(math.nan), "not all finite"),
+    "inf": (_with_first(math.inf), "not all finite"),
+    "inf-last": (_with_last(math.inf), "not all finite"),
+    "-inf": (_with_first(-math.inf), "not all finite"),
+}
+
+
+class TestFloat64s:
+    @pytest.mark.parametrize(
+        "values",
+        [[-0.0, 0.0], [5e-324, -5e-324], [sys.float_info.max, -sys.float_info.max],
+         [1, -0.0, 5e-324], []],
+        ids=["signed-zero", "subnormal", "max", "ints", "empty"],
+    )
+    def test_round_trip_is_exact(self, values):
+        text = jsonio.encode_float64s(np.array(values, dtype=np.float64))
+        back = jsonio.read_float64s(text, len(values), "w")
+        assert back.dtype == np.float64 and back.tobytes() == _bits(values)
+        assert jsonio.encode_float64s(back) == text
+
+    def test_text_is_the_little_endian_bytes_in_c_order(self):
+        array = np.arange(6, dtype=np.float64).reshape(2, 3)
+        text = jsonio.encode_float64s(array.T)
+        assert base64.b64decode(text) == struct.pack("<6d", 0, 3, 1, 4, 2, 5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_writer_refuses_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            jsonio.encode_float64s(np.array([0.5, bad]))
+
+    def test_a_pair_is_padded(self):
+        assert len(PAIR) == 24 and PAIR.endswith("==")
+
+    @pytest.mark.parametrize("rule", list(REFUSED_FLOAT64S))
+    def test_refuses_what_the_writer_never_emits(self, rule):
+        value, reason = REFUSED_FLOAT64S[rule]
+        with pytest.raises((TypeError, ValueError), match=f"^w: .*{reason}"):
+            jsonio.read_float64s(value, 2, "w")
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +225,10 @@ def test_weights_round_trip(tmp_path, seed, values):
     net = PolicyNetwork(TINY, seed=seed)
     flat = net.store.params["cnn.conv0.weight"].reshape(-1)
     flat[: len(values)] = values
-    _resave(tmp_path, save_weights, load_weights, net)
+    loaded = _resave(tmp_path, save_weights, load_weights, net)
+    for name, arr in {**net.store.params, **net.store.state}.items():
+        back = {**loaded.store.params, **loaded.store.state}[name]
+        assert back.tobytes() == arr.tobytes(), name
 
 
 @SETTINGS
@@ -162,6 +243,9 @@ def test_adam_state_round_trip(t, values):
     again = AdamState(store)
     again.load_jsonable(jsonio.loads(text))
     assert jsonio.dumps_canonical(again.to_jsonable()) == text
+    assert again.t == t
+    for moments, loaded in ((adam.m, again.m), (adam.v, again.v)):
+        assert all(loaded[k].tobytes() == a.tobytes() for k, a in moments.items())
 
 
 def test_a_map_without_a_seed_round_trips(tmp_path):
@@ -231,13 +315,9 @@ REFUSED = {
     "sample-map-id-dict": ("dataset", lambda d: d[2].update(map_id={"m": 0}), 3),
     "sample-t-real": ("dataset", lambda d: d[1].update(t=0.9), 2),
     "dataset-split-int": ("dataset", lambda d: d[0].update(split=1), 1),
-    "weight-string": ("weights", lambda d: _weights_entry(d)["values"].__setitem__(0, "1.5"), 1),
-    "weight-bool": ("weights", lambda d: _weights_entry(d)["values"].__setitem__(0, True), 1),
-    "weights-nested": (
-        "weights",
-        lambda d: _weights_entry(d).update(values=[[v] for v in _weights_entry(d)["values"]]),
-        1,
-    ),
+    "weight-string": ("weights", lambda d: _weights_entry(d).update(float64le="1.5"), 1),
+    "weight-bool": ("weights", lambda d: _weights_entry(d).update(float64le=True), 1),
+    "weights-nested": ("weights", lambda d: _weights_entry(d).update(float64le=[[1.0]] * 4), 1),
     "weights-shape-real": ("weights", lambda d: _weights_entry(d).update(shape=[4.0]), 1),
     # the config file: (config, its JSON document, no line)
     "config-width-real": ("config", {"width": 6.9}, None),

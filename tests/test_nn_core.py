@@ -1,3 +1,4 @@
+import base64
 import copy
 import itertools
 import math
@@ -1000,8 +1001,13 @@ class TestParamStore:
     def test_load_rejects_non_finite_values(self, bad):
         store, conv, _ = self.build()
         doc = store.to_jsonable()
-        doc["conv1.weight"]["values"][3] = bad
-        with pytest.raises(ValueError, match="conv1.weight"):
+        if bad is None:
+            doc["conv1.weight"]["float64le"] = None
+        else:
+            values = conv.weight.astype("<f8").ravel()
+            values[3] = bad
+            doc["conv1.weight"]["float64le"] = base64.b64encode(values.tobytes()).decode()
+        with pytest.raises((TypeError, ValueError), match="conv1.weight"):
             store.load_jsonable(doc)
 
     def test_load_rejects_missing_names(self):

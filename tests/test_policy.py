@@ -67,6 +67,23 @@ class TestArchitecture:
     def test_arch_validation(self):
         with pytest.raises(ValueError):
             PolicyArch(channels=(4, 8), features=16)
+        for channels in [(4, 4, 8, 8, 16, 16, 16), (0, 4, 8, 8, 16, 16), (4, -1, 8, 8, 16, 16)]:
+            with pytest.raises(ValueError, match="six positive"):
+                PolicyArch(channels=channels, features=16)
+
+    @pytest.mark.parametrize("radius", range(1, 10))
+    def test_every_fov_radius_runs_or_is_refused_up_front(self, radius):
+        # three 2x2 pools bring a 9x9 to 15x15 window to 1x1, and no other
+        try:
+            arch = PolicyArch(fov_radius=radius, channels=TINY.channels, features=TINY.features)
+        except ValueError as exc:
+            assert not 4 <= radius <= 7 and "fov_radius" in str(exc)
+            return
+        assert 4 <= radius <= 7
+        net = PolicyNetwork(arch, seed=0)
+        obs = np.random.default_rng(radius).random((3, 3, arch.window, arch.window))
+        assert net.forward(obs, path_gso(3)).shape == (3, 5)
+        assert net.encode(obs, train=True).shape == (3, TINY.features)
 
     def test_distributions_normalize(self):
         net = PolicyNetwork(TINY, seed=1)

@@ -1,4 +1,6 @@
+import base64
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +11,7 @@ from mapfgnn.errors import ConfigError, NonFiniteGradient, ParseError, SolverTim
 from mapfgnn.executor import IdlePolicy, PlanReplayPolicy
 from mapfgnn.expert import cbs_solve
 from mapfgnn.gridworld import build_gso, generate_case, generate_map
+from mapfgnn.jsonio import encode_float64s
 from mapfgnn.nn_core import log_softmax, one_hot
 from mapfgnn.policy import PolicyArch, PolicyNetwork
 from mapfgnn.training import (
@@ -202,8 +205,16 @@ def _set(value):
 
 
 def _set_first_value(value):
+    """Put a float's bytes first in a stored buffer, or anything else in
+    place of the buffer's text."""
+
     def edit(doc, moment, name):
-        doc[moment][name][0] = value
+        if type(value) is not float:
+            doc[moment][name] = value
+            return
+        raw = bytearray(base64.b64decode(doc[moment][name]))
+        raw[:8] = struct.pack("<d", value)
+        doc[moment][name] = base64.b64encode(raw).decode("ascii")
 
     return edit
 
@@ -228,11 +239,11 @@ class TestAdamStateLoad:
 
     @pytest.mark.parametrize("count", [0, 4, 6])
     def test_wrong_value_count(self, count):
-        # the head bias has one value per action: 5
-        self.assert_rejected(_set([0.1] * count), ("m", "mlp.head.bias"))
+        # the head bias has one value per action, 5: 4 and 6 are 8 bytes short and long
+        self.assert_rejected(_set(encode_float64s(np.full(count, 0.1))), ("m", "mlp.head.bias"))
 
     def test_wrong_shape(self):
-        # the right count, but nested rather than the flat list to_jsonable writes
+        # the right count, but a nested list rather than the text to_jsonable writes
         store = PolicyNetwork(TINY, seed=0).store
         weight = store.params["mlp.head.weight"]
         nested = np.zeros(weight.shape).tolist()
@@ -241,6 +252,17 @@ class TestAdamStateLoad:
     @pytest.mark.parametrize("bad", [None, math.nan, math.inf, -math.inf, "0.1"])
     def test_non_finite_or_non_numeric_value(self, bad):
         self.assert_rejected(_set_first_value(bad), ("v", "cnn.bn0.gamma"))
+
+    @pytest.mark.parametrize("spelling", ["flat-list", "non-canonical", "whitespace"])
+    def test_non_string_or_non_canonical_value(self, spelling):
+        # cnn.bn0.gamma has 4 values: 32 bytes, 44 characters ending in "="
+        text = encode_float64s(np.full(4, 0.1))
+        value = {
+            "flat-list": [0.1] * 4,
+            "non-canonical": text[:-2] + chr(ord(text[-2]) ^ 1) + "=",
+            "whitespace": text[:20] + " " + text[20:],
+        }[spelling]
+        self.assert_rejected(_set(value), ("m", "cnn.bn0.gamma"))
 
     @pytest.mark.parametrize("t", [1.0, "1", True, None, -1])
     def test_step_count_not_a_non_negative_int(self, t):
@@ -264,8 +286,8 @@ class TestAdamStateLoad:
             adam.load_jsonable(doc)
         assert adam.t == good["t"]
         for k in adam.m:
-            assert adam.m[k].ravel().tolist() == good["m"][k]
-            assert adam.v[k].ravel().tolist() == good["v"][k]
+            assert encode_float64s(adam.m[k]) == good["m"][k]
+            assert encode_float64s(adam.v[k]) == good["v"][k]
 
 
 class TestSplit:
