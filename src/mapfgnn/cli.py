@@ -258,7 +258,6 @@ def _cmd_expert(args, config: RunConfig) -> int:
 
 
 def _cmd_build_dataset(args, config: RunConfig) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
     maps, solved, stats = datastore.build_dataset(
         config.num_maps,
         config.cases_per_map,
@@ -273,6 +272,7 @@ def _cmd_build_dataset(args, config: RunConfig) -> int:
     )
     if not solved:
         raise InfeasibleCase("empty solved pool")
+    os.makedirs(args.out_dir, exist_ok=True)
     meta = _meta("build-dataset", config)
     datastore.save_maps(os.path.join(args.out_dir, "maps.jsonl"), maps, meta=meta)
     datastore.save_cases(os.path.join(args.out_dir, "cases.jsonl"), solved, meta=meta)
@@ -301,7 +301,6 @@ def _cmd_train(args, config: RunConfig) -> int:
         valid_ds = datastore.load_dataset(valid_path, maps)
     else:
         valid_ds = replace(train_ds, split="valid", samples=[])
-    os.makedirs(args.out_dir, exist_ok=True)
     train_records = None
     cases_path = os.path.join(args.data_dir, "cases.jsonl")
     if not args.no_oe and os.path.exists(cases_path):
@@ -321,6 +320,9 @@ def _cmd_train(args, config: RunConfig) -> int:
     history = []
 
     def on_epoch(net_, adam_, epoch_, row):
+        # made at the first checkpoint: fit checks its inputs before any
+        # epoch, so a refused run leaves no directory
+        os.makedirs(args.out_dir, exist_ok=True)
         history.append(row)
         datastore.save_weights(weights_path, net_, meta=meta)
         datastore.save_training_log(log_path, history, meta=meta)
@@ -366,12 +368,12 @@ def _load_eval_records(args, maps):
 
 
 def _cmd_eval(args, config: RunConfig) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
     maps = datastore.load_maps(os.path.join(args.data_dir, "maps.jsonl"))
     records = _load_eval_records(args, maps)
     if not records:
         raise EmptyInput(f"no cases found for split {args.split!r}")
     net = datastore.load_weights(args.weights) if args.policy == "network" else None
+    os.makedirs(args.out_dir, exist_ok=True)
     trajectories = rollout_cases(
         lambda rec: _make_policy(args.policy, rec, net), maps, records, config.seed
     )

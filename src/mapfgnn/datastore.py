@@ -358,9 +358,9 @@ def save_dataset(
 
 def load_dataset(path: str, maps: dict[str, GridMap]) -> Dataset:
     """Samples rebuilt from stored geometry at the header's radii, an
-    integer fov_radius of at least 1 and a comm_radius above 0. Positions and
-    goals obey _read_team's rules, with one label per robot, each an action
-    index."""
+    integer fov_radius of at least 1 and a comm_radius above 0, in file
+    order. Positions and goals obey _read_team's rules, with one label per
+    robot, each an action index, and no (case_id, t) appears twice."""
     header, records = _read_jsonl(path, "dataset")
     with _located(path, 1):
         fov = read_int(header["fov_radius"])
@@ -370,7 +370,9 @@ def load_dataset(path: str, maps: dict[str, GridMap]) -> Dataset:
             raise ValueError(f"fov_radius {fov} is below 1")
         if comm <= 0:
             raise ValueError(f"comm_radius {comm!r} is not above 0")
-    samples = []
+    rows = []
+    cases: dict[tuple, list[int]] = {}
+    seen = set()
     for doc, lineno in records:
         with _located(path, lineno):
             map_id, positions, goals = _read_team(doc, maps, "positions")
@@ -379,17 +381,32 @@ def load_dataset(path: str, maps: dict[str, GridMap]) -> Dataset:
                 raise ValueError("label and robot counts differ")
             if not all(0 <= a < NUM_ACTIONS for a in labels):
                 raise ValueError(f"labels must lie in [0, {NUM_ACTIONS})")
-            samples.append(
-                Sample(
-                    case_id=read_str(doc["case_id"]),
-                    t=read_int(doc["t"]),
-                    obs=team_observations(maps[map_id], positions, goals, fov).astype(np.uint8),
-                    gso=build_gso(positions, comm).matrix,
-                    labels=np.array(labels, dtype=np.int64),
-                    map_id=map_id,
-                    positions=positions,
-                    goals=goals,
-                )
+            case_id, t = read_str(doc["case_id"]), read_int(doc["t"])
+            if (case_id, t) in seen:
+                raise ValueError(f"sample {case_id!r} t={t} repeats an earlier line")
+            seen.add((case_id, t))
+            # the tensors come from one stacked call per case, wherever its lines sit
+            cases.setdefault((case_id, map_id, len(positions)), []).append(len(rows))
+            rows.append((t, positions, goals, labels))
+    # rows hold all that is left to read; the documents go before the tensors come
+    del records
+    samples = [None] * len(rows)
+    for (case_id, map_id, _), picks in cases.items():
+        ts, positions, goals, labels = zip(*(rows[i] for i in picks))
+        cells = np.array(positions, dtype=np.int64)
+        obs = team_observations(maps[map_id], cells, goals, fov).astype(np.uint8)
+        gso = build_gso(cells, comm).matrix
+        labels = np.array(labels, dtype=np.int64)
+        for k, i in enumerate(picks):
+            samples[i] = Sample(
+                case_id=case_id,
+                t=ts[k],
+                obs=obs[k],
+                gso=gso[k],
+                labels=labels[k],
+                map_id=map_id,
+                positions=positions[k],
+                goals=goals[k],
             )
     return Dataset(split=split, samples=samples, fov_radius=fov, comm_radius=comm)
 

@@ -151,7 +151,8 @@ class Case:
 
 @dataclass(frozen=True)
 class Gso:
-    """Normalized communication adjacency over the team at one instant."""
+    """Normalized communication adjacency over a team at one instant, (N, N),
+    or over a stack of such teams, (..., N, N)."""
 
     matrix: np.ndarray
 
@@ -206,7 +207,12 @@ def team_observations(
     goals,
     fov_radius: int = DEFAULT_FOV_RADIUS,
 ) -> np.ndarray:
-    """Egocentric 3-channel windows (N, 3, W, W), W = 2 * fov_radius + 1.
+    """Egocentric 3-channel windows (..., N, 3, W, W), W = 2 * fov_radius + 1.
+
+    positions is one team of N cells, (N, 2), or a stack of teams on one
+    map, (..., N, 2); goals is (N, 2), shared by every team in the stack,
+    or (..., N, 2), one row per team. Robots see only their own team, so a
+    stack gives exactly the windows of one call per team.
 
     Channel 0: obstacles (cells beyond the map border count as obstacles).
     Channel 1: goal position, clamped componentwise into the window.
@@ -215,41 +221,53 @@ def team_observations(
     """
     r = fov_radius
     w = 2 * r + 1
-    pos = np.asarray(positions, dtype=np.int64).reshape(-1, 2)
-    goal = np.asarray(goals, dtype=np.int64).reshape(-1, 2)
-    n = len(pos)
+    pos = np.asarray(positions, dtype=np.int64)
+    goal = np.asarray(goals, dtype=np.int64)
+    n = pos.shape[-2]
+    # every robot of every team is one row of the flat (R, 3, W, W) result
+    flat = pos.reshape(-1, 2)
+    rows = len(flat)
     # cell (x, y) sits at padded[y + r, x + r], so window row i of a robot at
     # (x0, y0) is padded row y0 + i
     padded = grid.padded_occupancy(r)
     offs = np.arange(w)
-    obs = np.zeros((n, 3, w, w))
+    obs = np.zeros((rows, 3, w, w))
     obs[:, 0] = padded[
-        pos[:, 1, None, None] + offs[:, None], pos[:, 0, None, None] + offs
+        flat[:, 1, None, None] + offs[:, None], flat[:, 0, None, None] + offs
     ]
-    rel = np.clip(goal - pos, -r, r) + r
-    obs[np.arange(n), 1, rel[:, 1], rel[:, 0]] = 1.0
-    # offset of robot j seen from robot i; the diagonal puts self at the center
-    delta = pos[None, :, :] - pos[:, None, :]
+    rel = (np.clip(goal - pos, -r, r) + r).reshape(-1, 2)
+    obs[np.arange(rows), 1, rel[:, 1], rel[:, 0]] = 1.0
+    # row k * N + i holds the offset of teammate j seen from robot i of team
+    # k; the diagonal puts self at the center
+    teams = pos.reshape(-1, n, 2)
+    delta = (teams[:, None, :, :] - teams[:, :, None, :]).reshape(rows, n, 2)
     seer, seen = np.nonzero((np.abs(delta) <= r).all(axis=-1))
     obs[seer, 2, delta[seer, seen, 1] + r, delta[seer, seen, 0] + r] = 1.0
-    return obs
+    return obs.reshape(pos.shape[:-1] + (3, w, w))
 
 
 def build_gso(positions, comm_radius: float = DEFAULT_COMM_RADIUS) -> Gso:
-    """Communication matrix: binary adjacency on the Euclidean distance rule,
-    divided by its largest-magnitude eigenvalue when any edge exists."""
-    pos = np.asarray(positions, dtype=np.int64).reshape(-1, 2)
-    if len(pos) < 1:
+    """Communication matrices (..., N, N) of one team, (N, 2), or a stack of
+    teams, (..., N, 2): binary adjacency on the Euclidean distance rule, each
+    team's divided by its own largest-magnitude eigenvalue when it has any
+    edge. A stack gives exactly the matrices of one call per team."""
+    pos = np.asarray(positions, dtype=np.int64)
+    if pos.ndim < 2 or pos.shape[-2] < 1:
         raise ValueError("need at least one robot")
-    delta = pos[:, None, :] - pos[None, :, :]
+    n = pos.shape[-2]
+    delta = pos[..., :, None, :] - pos[..., None, :, :]
     # sqrt of the exact integer sum is correctly rounded; np.hypot is not, and
     # at e.g. (17, 27) it lands on the other side of a radius of that length
     dist = np.sqrt((delta * delta).sum(axis=-1))
     mat = (dist <= comm_radius).astype(np.float64)
-    np.fill_diagonal(mat, 0.0)
-    if mat.any():
-        lam = np.abs(np.linalg.eigvalsh(mat)).max()
-        mat = mat / lam
+    # views: zeroing each diagonal and scaling the stack change mat
+    stack = mat.reshape(-1, n, n)
+    stack.reshape(-1, n * n)[:, :: n + 1] = 0.0
+    linked = stack.any(axis=(1, 2))
+    # an edge-free team is divided by 1, which keeps its zeros as they are
+    lam = np.ones(len(stack))
+    lam[linked] = np.abs(np.linalg.eigvalsh(stack[linked])).max(axis=-1)
+    stack /= lam[:, None, None]
     return Gso(matrix=mat)
 
 

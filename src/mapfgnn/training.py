@@ -66,9 +66,11 @@ class TrainConfig:
 class Sample:
     """One timestep of one case; observations stored as compact binary.
 
-    Positions and goals make the sample self-describing: observations and
-    the communication matrix are rebuilt from them plus the map, so
-    persistence stores just the geometry.
+    obs is (N, 3, W, W) uint8 and gso (N, N); both are row t of the (T, ...)
+    stacks that one builder call per case returns, so they may be views
+    into the case's arrays. Positions and goals make the sample
+    self-describing: observations and the communication matrix are rebuilt
+    from them plus the map, so persistence stores just the geometry.
     """
 
     case_id: str
@@ -112,25 +114,30 @@ def expand_case(
     fov_radius: int = DEFAULT_FOV_RADIUS,
     comm_radius: float = DEFAULT_COMM_RADIUS,
 ) -> list[Sample]:
-    """Per-timestep samples along the expert trajectory, t in [0, makespan)."""
+    """Per-timestep samples along the expert trajectory, t in [0, makespan).
+
+    The tensors of every timestep come from one stacked call per builder;
+    each sample holds views of row t.
+    """
     labels = plan_to_labels(plan)
-    samples = []
-    for t in range(plan.makespan):
-        positions = positions_at(plan.paths, t)
-        obs = team_observations(grid, positions, case.goals, fov_radius)
-        samples.append(
-            Sample(
-                case_id=case_id,
-                t=t,
-                obs=obs.astype(np.uint8),
-                gso=build_gso(positions, comm_radius).matrix,
-                labels=labels[t].copy(),
-                map_id=case.map_id,
-                positions=tuple(positions),
-                goals=tuple(case.goals),
-            )
+    steps = [tuple(positions_at(plan.paths, t)) for t in range(plan.makespan)]
+    cells = np.array(steps, dtype=np.int64).reshape(len(steps), case.num_robots, 2)
+    obs = team_observations(grid, cells, case.goals, fov_radius).astype(np.uint8)
+    gso = build_gso(cells, comm_radius).matrix
+    goals = tuple(case.goals)
+    return [
+        Sample(
+            case_id=case_id,
+            t=t,
+            obs=obs[t],
+            gso=gso[t],
+            labels=labels[t],
+            map_id=case.map_id,
+            positions=positions,
+            goals=goals,
         )
-    return samples
+        for t, positions in enumerate(steps)
+    ]
 
 
 def cosine_lr(epoch: int, config: TrainConfig) -> float:

@@ -290,6 +290,8 @@ def test_a_stage_that_solves_nothing_exits_3(tmp_path, capsys, command, line):
     capsys.readouterr()
     assert main([command, *args, "--timeout-s", "1e-9"]) == 3
     assert capsys.readouterr().err.splitlines()[-1] == line
+    # build-dataset refuses before it makes its output directory
+    assert not (tmp_path / "d").exists()
 
 
 class TestExpertRejectsBadCases:
@@ -536,7 +538,7 @@ class TestWeightsOwnTheRadius:
                    "--config", config, "--epochs", "2"])
         assert rc == 2
         assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
-        assert not (run_dir / "model.json").exists()
+        assert not run_dir.exists()
 
     def test_eval_and_rollout_run_at_the_trained_radius(self, radius2_workspace, monkeypatch):
         tmp_path, data_dir, weights, config, _ = radius2_workspace
@@ -598,7 +600,7 @@ class TestWeightsOwnTheRadius:
                    "--weights", str(old)])
         assert rc == 4
         assert json.loads(capsys.readouterr().err.strip())["error"] == "VersionMismatch"
-        assert not any((tmp_path / "v2").iterdir())
+        assert not (tmp_path / "v2").exists()
 
     def test_v1_weights_are_a_version_mismatch(self, radius2_workspace, capsys):
         tmp_path, data_dir, weights, _, _ = radius2_workspace
@@ -676,7 +678,7 @@ class TestWeightsOwnTheRadius:
         assert rc == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigError" and "fov_radius" in err["message"]
-        assert not (run_dir / "model.json").exists()
+        assert not run_dir.exists()
 
     @pytest.mark.parametrize("rule", ["comm_radius_zero", "no_radii"])
     def test_broken_dataset_radii_are_a_parse_error(self, radius2_workspace, rule, capsys):
@@ -698,7 +700,7 @@ class TestWeightsOwnTheRadius:
         assert rc == 4
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ParseError" and str(path) in err["message"]
-        assert not (run_dir / "model.json").exists()
+        assert not run_dir.exists()
 
 
 def header_meta(path):
@@ -810,16 +812,20 @@ _REFUSED_WEIGHTS = {
 
 
 @pytest.mark.parametrize(
-    "artifact, line, edit",
+    "command, artifact, line, edit",
     [
-        ("maps.jsonl", 2, lambda doc: doc.update(width=6.9)),
-        ("cases.jsonl", 3, lambda doc: doc.update(case_id=5)),
-        ("dataset.train.jsonl", 2, lambda doc: doc.update(t=0.9)),
-        *[("model.json", 1, _set_head_bias(spell)) for spell in _REFUSED_WEIGHTS.values()],
+        ("gen-cases", "maps.jsonl", 2, lambda doc: doc.update(width=6.9)),
+        ("expert", "cases.jsonl", 3, lambda doc: doc.update(case_id=5)),
+        ("train", "cases.jsonl", 3, lambda doc: doc.update(case_id=5)),
+        ("train", "dataset.train.jsonl", 2, lambda doc: doc.update(t=0.9)),
+        *[("eval", "model.json", 1, _set_head_bias(spell))
+          for spell in _REFUSED_WEIGHTS.values()],
     ],
-    ids=["maps", "cases", "dataset", *_REFUSED_WEIGHTS],
+    ids=["maps", "cases", "train-cases", "dataset", *_REFUSED_WEIGHTS],
 )
-def test_a_refused_value_exits_4_with_one_json_line(workspace, tmp_path, artifact, line, edit):
+def test_a_refused_value_exits_4_with_one_json_line(
+    workspace, tmp_path, command, artifact, line, edit
+):
     _, data_dir, run_dir, config = workspace
     broken_dir = tmp_path / "data"
     shutil.copytree(data_dir, broken_dir)
@@ -828,14 +834,14 @@ def test_a_refused_value_exits_4_with_one_json_line(workspace, tmp_path, artifac
     _edit_jsonl(broken, line, edit)
     out = tmp_path / "out"
     argv = {
-        "maps.jsonl": ["gen-cases", "--maps", str(broken), "--out", str(out)],
-        "cases.jsonl": ["expert", "--maps", str(broken_dir / "maps.jsonl"), "--cases",
-                        str(broken), "--out", str(out)],
-        "dataset.train.jsonl": ["train", "--data-dir", str(broken_dir), "--out-dir", str(out),
-                                "--config", config, "--epochs", "1"],
-        "model.json": ["eval", "--data-dir", str(broken_dir), "--out-dir", str(out),
-                       "--weights", str(broken_dir / "model.json")],
-    }[artifact]
+        "gen-cases": ["gen-cases", "--maps", str(broken), "--out", str(out)],
+        "expert": ["expert", "--maps", str(broken_dir / "maps.jsonl"), "--cases",
+                   str(broken), "--out", str(out)],
+        "train": ["train", "--data-dir", str(broken_dir), "--out-dir", str(out),
+                  "--config", config, "--epochs", "1"],
+        "eval": ["eval", "--data-dir", str(broken_dir), "--out-dir", str(out),
+                 "--weights", str(broken_dir / "model.json")],
+    }[command]
     src = Path(cli.__file__).resolve().parents[1]
     done = subprocess.run(
         [sys.executable, "-m", "mapfgnn", *argv],
@@ -845,7 +851,7 @@ def test_a_refused_value_exits_4_with_one_json_line(workspace, tmp_path, artifac
     (line_out,) = done.stderr.splitlines()
     err = json.loads(line_out)
     assert err["error"] == "ParseError" and f"{broken}:{line}" in err["message"]
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 class TestWorkers:

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from mapfgnn import datastore, training
 from mapfgnn.datastore import (
     CaseRecord,
     SCHEMA_VERSION,
@@ -32,7 +33,14 @@ from mapfgnn.datastore import (
 from mapfgnn.errors import ParseError, VersionMismatch
 from mapfgnn.executor import MetricsReport, PlanReplayPolicy, rollout
 from mapfgnn.expert import Plan, cbs_solve
-from mapfgnn.gridworld import Case, GridMap, generate_case, generate_map
+from mapfgnn.gridworld import (
+    Case,
+    GridMap,
+    build_gso,
+    generate_case,
+    generate_map,
+    team_observations,
+)
 from mapfgnn.policy import PolicyArch, PolicyNetwork
 from mapfgnn.training import split_dataset
 
@@ -335,6 +343,69 @@ class TestDatasetFile:
             for j in range(i + 1, len(ids)):
                 assert not (ids[i] & ids[j])
 
+
+    def test_interleaved_cases_and_team_sizes_load_in_file_order(self, tmp_path):
+        maps, pool, _ = small_pool()
+        map_id = pool[0].case.map_id
+        trio = generate_case(maps[map_id], 3, seed=2, map_id=map_id)
+        extra = CaseRecord(case_id="trio", case=trio, plan=cbs_solve(maps[map_id], trio, 30.0))
+        ds = expand_samples([*pool, extra], maps, fov_radius=3, comm_radius=3.0)
+        order = np.random.default_rng(0).permutation(len(ds))
+        ds.samples = [ds.samples[i] for i in order]
+        p = tmp_path / "dataset.train.jsonl"
+        save_dataset(str(p), ds)
+        back = load_dataset(str(p), maps)
+        assert [(s.case_id, s.t) for s in back.samples] == [(s.case_id, s.t) for s in ds.samples]
+        assert {s.num_robots for s in back.samples} == {2, 3}
+        for a, b in zip(ds.samples, back.samples):
+            obs = team_observations(maps[b.map_id], b.positions, b.goals, 3).astype(np.uint8)
+            gso = build_gso(b.positions, 3.0).matrix
+            for built, want in ((b.obs, obs), (b.gso, gso), (a.obs, obs), (a.gso, gso)):
+                assert built.shape == want.shape and built.tobytes() == want.tobytes()
+            assert np.array_equal(a.labels, b.labels)
+
+    def test_a_repeated_sample_is_refused_at_its_line(self, tmp_path):
+        maps, pool, _ = small_pool()
+        ds = expand_samples(pool[:1], maps)
+        ds.samples.append(ds.samples[0])
+        p = tmp_path / "dataset.train.jsonl"
+        save_dataset(str(p), ds)
+        with pytest.raises(ParseError, match=re.escape(f"{p}:{len(ds) + 1}")):
+            load_dataset(str(p), maps)
+
+
+def count_builder_calls(monkeypatch, module) -> dict:
+    """Count the observation and GSO builder calls made through module."""
+    calls = {}
+    for name in ("team_observations", "build_gso"):
+        real = getattr(module, name)
+        calls[name] = 0
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestOneBuilderCallPerCase:
+    def test_expand_samples(self, monkeypatch):
+        maps, pool, _ = small_pool()
+        calls = count_builder_calls(monkeypatch, training)
+        ds = expand_samples(pool, maps)
+        assert len(ds) > len(pool)
+        assert calls == {"team_observations": len(pool), "build_gso": len(pool)}
+
+    def test_load_dataset(self, tmp_path, monkeypatch):
+        maps, pool, _ = small_pool()
+        ds = expand_samples(pool, maps)
+        ds.samples.reverse()
+        p = tmp_path / "dataset.train.jsonl"
+        save_dataset(str(p), ds)
+        calls = count_builder_calls(monkeypatch, datastore)
+        assert len(load_dataset(str(p), maps)) > len(pool)
+        assert calls == {"team_observations": len(pool), "build_gso": len(pool)}
 
 class TestWeightsFile:
     def test_round_trip_bit_exact(self, tmp_path):

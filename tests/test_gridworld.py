@@ -317,6 +317,48 @@ class TestLocalObservation:
             assert np.array_equal(stacked[i], ref)
 
 
+    @given(
+        width=st.integers(2, 12),
+        height=st.integers(2, 12),
+        fov=st.integers(1, 7),
+        density=st.floats(0.0, 0.5),
+        per_row_goals=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_a_stack_equals_one_call_per_team(
+        self, width, height, fov, density, per_row_goals, data
+    ):
+        m = generate_map(width, height, density, seed=width * 100 + height)
+        free = m.free_cells()
+        n = data.draw(st.integers(1, min(5, len(free))))
+        steps = data.draw(st.integers(1, 4))
+        cells = st.permutations(free).map(lambda perm: perm[:n])
+        teams = [data.draw(cells) for _ in range(steps)]
+        goals = [data.draw(cells) for _ in range(steps if per_row_goals else 1)]
+        stacked = team_observations(m, teams, goals if per_row_goals else goals[0], fov)
+        w = 2 * fov + 1
+        assert stacked.shape == (steps, n, 3, w, w) and stacked.dtype == np.float64
+        for k, team in enumerate(teams):
+            team_goals = goals[k if per_row_goals else 0]
+            single = team_observations(m, team, team_goals, fov)
+            assert stacked[k].tobytes() == single.tobytes()
+            for i in range(n):
+                ref = scalar_observation(m, team, team_goals, i, fov)
+                assert stacked[k, i].tobytes() == ref.tobytes()
+
+    def test_every_leading_axis_is_a_stack(self):
+        m = generate_map(8, 8, 0.2, seed=4)
+        free = m.free_cells()
+        teams = np.array([[free[i], free[i + 7]] for i in range(6)]).reshape(2, 3, 2, 2)
+        goals = [free[-1], free[-2]]
+        stacked = team_observations(m, teams, goals, 2)
+        assert stacked.shape == (2, 3, 2, 3, 5, 5)
+        for a in range(2):
+            for b in range(3):
+                single = team_observations(m, teams[a, b], goals, 2)
+                assert stacked[a, b].tobytes() == single.tobytes()
+
 class TestGso:
     def test_two_robots_in_range(self):
         gso = build_gso([(0, 0), (3, 0)], comm_radius=5.0)
@@ -390,6 +432,43 @@ class TestGso:
         assert np.allclose(mat, mat.T)
         assert np.all(np.diag(mat) == 0.0)
 
+
+    def test_a_stack_mixes_edge_free_and_connected_teams(self):
+        radius = math.hypot(17, 27)
+        teams = [[(0, 0), (17, 27)], [(0, 0), (40, 0)], [(5, 5), (5, 6)]]
+        stacked = build_gso(teams, radius).matrix
+        assert stacked.shape == (3, 2, 2)
+        assert np.array_equal(stacked[0], [[0.0, 1.0], [1.0, 0.0]])
+        assert not stacked[1].any() and not np.signbit(stacked[1]).any()
+        for k, team in enumerate(teams):
+            assert stacked[k].tobytes() == build_gso(team, radius).matrix.tobytes()
+        assert build_gso([[(4, 4)], [(9, 9)]], 5.0).matrix.tobytes() == bytes(16)
+
+    @given(
+        teams=st.integers(1, 8).flatmap(
+            lambda n: st.lists(
+                st.lists(
+                    st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
+                    min_size=n,
+                    max_size=n,
+                ),
+                min_size=1,
+                max_size=5,
+            )
+        ),
+        radius=st.one_of(
+            st.floats(0.5, 40.0),
+            st.builds(math.hypot, st.integers(1, 30), st.integers(0, 30)),
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_a_stack_equals_one_call_per_team(self, teams, radius):
+        n = len(teams[0])
+        stacked = build_gso(teams, radius).matrix
+        assert stacked.shape == (len(teams), n, n)
+        for k, team in enumerate(teams):
+            assert stacked[k].tobytes() == build_gso(team, radius).matrix.tobytes()
+            assert stacked[k].tobytes() == scalar_gso(team, radius).tobytes()
 
 class TestStepPositions:
     def test_idle_stays(self):
