@@ -250,10 +250,10 @@ def _cmd_expert(args, config: RunConfig) -> int:
         stats=stats,
         log=lambda msg: print(msg, file=sys.stderr),
     )
-    datastore.save_cases(args.out, solved, meta=_meta("expert", config))
     print(f"expert: solved {len(solved)}/{len(records)} cases {asdict(stats)}")
     if records and not solved:
         raise SolverTimeout("no case solved")
+    datastore.save_cases(args.out, solved, meta=_meta("expert", config))
     return EXIT_OK
 
 

@@ -34,11 +34,11 @@ from .gridworld import (
     NUM_ACTIONS,
     Case,
     GridMap,
-    build_gso,
     generate_case,
     generate_map,
-    team_observations,
 )
+# unused here; perfbench patches them on this module until ROADMAP item 1
+from .gridworld import build_gso, team_observations  # noqa: F401
 from .jsonio import (
     dumps_canonical,
     loads,
@@ -49,7 +49,7 @@ from .jsonio import (
     read_str,
 )
 from .policy import PolicyNetwork
-from .training import Dataset, Sample
+from .training import Dataset, case_samples
 
 SCHEMA_VERSION = "mapfgnn-files-v1"
 
@@ -136,19 +136,21 @@ def _write_jsonl(path: str, kind: str, records: list, meta=None, **header_extra)
 
 def _read_jsonl(path: str, kind: str):
     """The header and the (record, line number) pairs of a JSON-lines
-    artifact; loaders read each record inside _located at its line."""
+    artifact, whose header must hold an integer record count; loaders read
+    each record inside _located at its line."""
     lines = _read_text(path).splitlines()
     if not lines:
         raise ParseError("empty file", path=path, line=1)
     header = _parse_line(lines[0], path, 1)
     _check_header(header, kind, path)
+    with _located(path, 1):
+        count = read_int(header["count"])
     records = [
         (_parse_line(line, path, i + 2), i + 2)
         for i, line in enumerate(lines[1:])
         if line.strip()
     ]
-    count = header.get("count")
-    if count is not None and len(records) != count:
+    if len(records) != count:
         raise ParseError(
             f"header promises {count} records, found {len(records)}",
             path=path,
@@ -359,13 +361,15 @@ def save_dataset(
 def load_dataset(path: str, maps: dict[str, GridMap]) -> Dataset:
     """Samples rebuilt from stored geometry at the header's radii, an
     integer fov_radius of at least 1 and a comm_radius above 0, in file
-    order. Positions and goals obey _read_team's rules, with one label per
-    robot, each an action index, and no (case_id, t) appears twice."""
+    order, under the header's string split; one case_samples call per
+    (case_id, map_id, team size). Positions and goals obey _read_team's
+    rules, with one label per robot, each an action index, and no
+    (case_id, t) appears twice."""
     header, records = _read_jsonl(path, "dataset")
     with _located(path, 1):
         fov = read_int(header["fov_radius"])
         comm = read_real(header["comm_radius"])
-        split = read_str(header.get("split", "train"))
+        split = read_str(header["split"])
         if fov < 1:
             raise ValueError(f"fov_radius {fov} is below 1")
         if comm <= 0:
@@ -393,21 +397,11 @@ def load_dataset(path: str, maps: dict[str, GridMap]) -> Dataset:
     samples = [None] * len(rows)
     for (case_id, map_id, _), picks in cases.items():
         ts, positions, goals, labels = zip(*(rows[i] for i in picks))
-        cells = np.array(positions, dtype=np.int64)
-        obs = team_observations(maps[map_id], cells, goals, fov).astype(np.uint8)
-        gso = build_gso(cells, comm).matrix
-        labels = np.array(labels, dtype=np.int64)
-        for k, i in enumerate(picks):
-            samples[i] = Sample(
-                case_id=case_id,
-                t=ts[k],
-                obs=obs[k],
-                gso=gso[k],
-                labels=labels[k],
-                map_id=map_id,
-                positions=positions[k],
-                goals=goals[k],
-            )
+        built = case_samples(
+            maps[map_id], case_id, map_id, ts, positions, goals, labels, fov, comm
+        )
+        for i, sample in zip(picks, built):
+            samples[i] = sample
     return Dataset(split=split, samples=samples, fov_radius=fov, comm_radius=comm)
 
 

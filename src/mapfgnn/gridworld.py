@@ -114,23 +114,20 @@ class GridMap:
         """All free cells in row-major (y, then x) order."""
         return list(self.successors)
 
-    def neighbors(self, cell: Cell) -> list[Cell]:
-        """Free 4-connected neighbors of a free cell."""
-        return list(self.successors[cell][1:])
-
     def padded_occupancy(self, radius: int) -> np.ndarray:
-        """Read-only obstacle array with a `radius`-cell border of obstacles.
+        """Read-only uint8 obstacle array (1 on an obstacle) with a
+        `radius`-cell border of obstacles.
 
         Cell (x, y) sits at [y + radius, x + radius]. Built once per radius.
         """
         padded = self._padded.get(radius)
         if padded is None:
             r = radius
-            padded = np.ones((self.height + 2 * r, self.width + 2 * r))
-            padded[r : r + self.height, r : r + self.width] = 0.0
+            padded = np.ones((self.height + 2 * r, self.width + 2 * r), dtype=np.uint8)
+            padded[r : r + self.height, r : r + self.width] = 0
             if self.obstacles:
                 ox, oy = np.array(list(self.obstacles)).T
-                padded[oy + r, ox + r] = 1.0
+                padded[oy + r, ox + r] = 1
             padded.setflags(write=False)
             self._padded[radius] = padded
         return padded
@@ -207,7 +204,8 @@ def team_observations(
     goals,
     fov_radius: int = DEFAULT_FOV_RADIUS,
 ) -> np.ndarray:
-    """Egocentric 3-channel windows (..., N, 3, W, W), W = 2 * fov_radius + 1.
+    """Egocentric 3-channel uint8 0/1 windows (..., N, 3, W, W), W = 2 *
+    fov_radius + 1.
 
     positions is one team of N cells, (N, 2), or a stack of teams on one
     map, (..., N, 2); goals is (N, 2), shared by every team in the stack,
@@ -231,18 +229,18 @@ def team_observations(
     # (x0, y0) is padded row y0 + i
     padded = grid.padded_occupancy(r)
     offs = np.arange(w)
-    obs = np.zeros((rows, 3, w, w))
+    obs = np.zeros((rows, 3, w, w), dtype=np.uint8)
     obs[:, 0] = padded[
         flat[:, 1, None, None] + offs[:, None], flat[:, 0, None, None] + offs
     ]
     rel = (np.clip(goal - pos, -r, r) + r).reshape(-1, 2)
-    obs[np.arange(rows), 1, rel[:, 1], rel[:, 0]] = 1.0
+    obs[np.arange(rows), 1, rel[:, 1], rel[:, 0]] = 1
     # row k * N + i holds the offset of teammate j seen from robot i of team
     # k; the diagonal puts self at the center
     teams = pos.reshape(-1, n, 2)
     delta = (teams[:, None, :, :] - teams[:, :, None, :]).reshape(rows, n, 2)
     seer, seen = np.nonzero((np.abs(delta) <= r).all(axis=-1))
-    obs[seer, 2, delta[seer, seen, 1] + r, delta[seer, seen, 0] + r] = 1.0
+    obs[seer, 2, delta[seer, seen, 1] + r, delta[seer, seen, 0] + r] = 1
     return obs.reshape(pos.shape[:-1] + (3, w, w))
 
 

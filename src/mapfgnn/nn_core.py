@@ -531,20 +531,23 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return out.reshape(*labels.shape, num_classes)
 
 
+def softmax_nll(logits: np.ndarray, labels_onehot: np.ndarray):
+    """Summed negative log-likelihood over every row of (..., A) logits, and
+    its gradient w.r.t. the logits, softmax - label."""
+    if logits.shape != labels_onehot.shape:
+        raise ShapeMismatch(f"logits {logits.shape} vs labels {labels_onehot.shape}")
+    logp = log_softmax(logits)
+    return -(labels_onehot * logp).sum(), np.exp(logp) - labels_onehot
+
+
 def cross_entropy(logits: np.ndarray, labels_onehot: np.ndarray):
     """Mean negative log-likelihood over rows.
 
     Returns (loss, gradient w.r.t. logits); gradient = (softmax - label) / N.
     """
-    if logits.shape != labels_onehot.shape:
-        raise ShapeMismatch(
-            f"logits {logits.shape} vs labels {labels_onehot.shape}"
-        )
     n = logits.shape[0]
-    logp = log_softmax(logits)
-    loss = -(labels_onehot * logp).sum() / n
-    grad = (np.exp(logp) - labels_onehot) / n
-    return loss, grad
+    loss, grad = softmax_nll(logits, labels_onehot)
+    return loss / n, grad / n
 
 
 def gradient_check(

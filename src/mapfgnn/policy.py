@@ -124,7 +124,9 @@ class PolicyNetwork:
         self.store.add_layer("mlp.head", self.head)
 
     def encode(self, obs: np.ndarray, train: bool = False) -> np.ndarray:
-        """CNN features, shape (batch, features), from (batch, 3, W, W) input."""
+        """CNN features, shape (batch, features), from (batch, 3, W, W) input;
+        uint8 windows give their float64 copy's bits, as the first conv's
+        im2col (W x W is 81 cells or more) copies them into float64."""
         if obs.ndim != 4 or obs.shape[1:] != (3, self.arch.window, self.arch.window):
             raise ShapeMismatch(
                 f"expected (B,3,{self.arch.window},{self.arch.window}), got {obs.shape}"

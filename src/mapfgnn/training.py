@@ -28,7 +28,7 @@ from .gridworld import (
     team_observations,
 )
 from .jsonio import encode_float64s, read_float64s, read_int
-from .nn_core import log_softmax, one_hot
+from .nn_core import one_hot, softmax_nll
 from .policy import PolicyNetwork
 
 # distinct per-purpose offsets keep the seed streams independent
@@ -66,9 +66,8 @@ class TrainConfig:
 class Sample:
     """One timestep of one case; observations stored as compact binary.
 
-    obs is (N, 3, W, W) uint8 and gso (N, N); both are row t of the (T, ...)
-    stacks that one builder call per case returns, so they may be views
-    into the case's arrays. Positions and goals make the sample
+    obs is (N, 3, W, W) uint8 and gso (N, N), views of the stacks
+    case_samples builds per case. Positions and goals make the sample
     self-describing: observations and the communication matrix are rebuilt
     from them plus the map, so persistence stores just the geometry.
     """
@@ -106,6 +105,25 @@ class Dataset:
         return {s.case_id for s in self.samples}
 
 
+def case_samples(grid: GridMap, case_id: str, map_id: str, ts, positions, goals, labels,
+                 fov_radius: int, comm_radius: float) -> list[Sample]:
+    """The samples of one case's rows, the one place a Sample is built.
+
+    Row k is timestep ts[k], with the team's cells positions[k], its goals
+    goals[k] and the expert's actions labels[k]. One team_observations and
+    one build_gso call build every row's tensors; each sample holds views.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    # shaped by the labels, so a case with no rows keeps its team size
+    cells = np.array(positions, dtype=np.int64).reshape(labels.shape + (2,))
+    obs = team_observations(grid, cells, np.reshape(goals, cells.shape), fov_radius)
+    gso = build_gso(cells, comm_radius).matrix
+    return [
+        Sample(case_id, t, obs[k], gso[k], labels[k], map_id, positions[k], goals[k])
+        for k, t in enumerate(ts)
+    ]
+
+
 def expand_case(
     grid: GridMap,
     case: Case,
@@ -114,30 +132,12 @@ def expand_case(
     fov_radius: int = DEFAULT_FOV_RADIUS,
     comm_radius: float = DEFAULT_COMM_RADIUS,
 ) -> list[Sample]:
-    """Per-timestep samples along the expert trajectory, t in [0, makespan).
-
-    The tensors of every timestep come from one stacked call per builder;
-    each sample holds views of row t.
-    """
-    labels = plan_to_labels(plan)
-    steps = [tuple(positions_at(plan.paths, t)) for t in range(plan.makespan)]
-    cells = np.array(steps, dtype=np.int64).reshape(len(steps), case.num_robots, 2)
-    obs = team_observations(grid, cells, case.goals, fov_radius).astype(np.uint8)
-    gso = build_gso(cells, comm_radius).matrix
-    goals = tuple(case.goals)
-    return [
-        Sample(
-            case_id=case_id,
-            t=t,
-            obs=obs[t],
-            gso=gso[t],
-            labels=labels[t],
-            map_id=case.map_id,
-            positions=positions,
-            goals=goals,
-        )
-        for t, positions in enumerate(steps)
-    ]
+    """Per-timestep samples along the expert trajectory, t in [0, makespan)."""
+    ts = range(plan.makespan)
+    steps = [tuple(positions_at(plan.paths, t)) for t in ts]
+    goals = [tuple(case.goals)] * len(ts)
+    return case_samples(grid, case_id, case.map_id, ts, steps, goals, plan_to_labels(plan),
+                        fov_radius, comm_radius)
 
 
 def cosine_lr(epoch: int, config: TrainConfig) -> float:
@@ -222,8 +222,7 @@ def _batch_pass(net: PolicyNetwork, batch, train: bool):
     mode each size's head backward runs before the next size's forward, since
     layers cache only their latest call, then the CNN backward runs once.
     """
-    obs = np.concatenate([s.obs for s in batch], dtype=np.float64)
-    feats = net.encode(obs, train)
+    feats = net.encode(np.concatenate([s.obs for s in batch]), train)
     rows = feats.shape[0]
     sizes = np.array([s.num_robots for s in batch])
     row_sizes = np.repeat(sizes, sizes)
@@ -236,14 +235,12 @@ def _batch_pass(net: PolicyNetwork, batch, train: bool):
         gso = np.stack([s.gso for s in team])
         labels = np.stack([s.labels for s in team])
         logits = net.head_forward(feats[idx].reshape(len(team), n, -1), gso, train)
-        logp = log_softmax(logits)
-        onehot = one_hot(labels, logits.shape[-1])
-        loss_sum += -(onehot * logp).sum()
+        nll, glogits = softmax_nll(logits, one_hot(labels, logits.shape[-1]))
+        loss_sum += nll
         correct += int((logits.argmax(axis=-1) == labels).sum())
         if train:
             # every row of the batch contributes 1/rows to the mean loss
-            glogits = (np.exp(logp) - onehot) / rows
-            gfeat[idx] = net.head_backward(glogits).reshape(idx.size, -1)
+            gfeat[idx] = net.head_backward(glogits / rows).reshape(idx.size, -1)
     if train:
         net.encode_backward(gfeat)
     return loss_sum, correct, rows

@@ -290,7 +290,8 @@ def test_a_stage_that_solves_nothing_exits_3(tmp_path, capsys, command, line):
     capsys.readouterr()
     assert main([command, *args, "--timeout-s", "1e-9"]) == 3
     assert capsys.readouterr().err.splitlines()[-1] == line
-    # build-dataset refuses before it makes its output directory
+    # each stage refuses before it writes its output
+    assert not (tmp_path / "s").exists()
     assert not (tmp_path / "d").exists()
 
 
@@ -470,7 +471,7 @@ class TestTrainEvalRollout:
         def forbidden(*args, **kwargs):
             raise AssertionError("eval rebuilt observations")
 
-        monkeypatch.setattr(datastore, "team_observations", forbidden)
+        monkeypatch.setattr(training, "team_observations", forbidden)
         args = parse(["eval", "--data-dir", str(data_dir), "--out-dir", "o",
                       "--split", "test", "--policy", "expert-replay"])
         picked = {rec.case_id for rec in cli._load_eval_records(args, maps)}
@@ -818,10 +819,14 @@ _REFUSED_WEIGHTS = {
         ("expert", "cases.jsonl", 3, lambda doc: doc.update(case_id=5)),
         ("train", "cases.jsonl", 3, lambda doc: doc.update(case_id=5)),
         ("train", "dataset.train.jsonl", 2, lambda doc: doc.update(t=0.9)),
+        ("gen-cases", "maps.jsonl", 1, lambda doc: doc.update(count=True)),
+        ("gen-cases", "maps.jsonl", 1, lambda doc: doc.pop("count")),
+        ("train", "dataset.train.jsonl", 1, lambda doc: doc.pop("split")),
         *[("eval", "model.json", 1, _set_head_bias(spell))
           for spell in _REFUSED_WEIGHTS.values()],
     ],
-    ids=["maps", "cases", "train-cases", "dataset", *_REFUSED_WEIGHTS],
+    ids=["maps", "cases", "train-cases", "dataset", "maps-count-bool", "maps-no-count",
+         "dataset-no-split", *_REFUSED_WEIGHTS],
 )
 def test_a_refused_value_exits_4_with_one_json_line(
     workspace, tmp_path, command, artifact, line, edit

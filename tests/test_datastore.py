@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from mapfgnn import datastore, training
+from mapfgnn import training
 from mapfgnn.datastore import (
     CaseRecord,
     SCHEMA_VERSION,
@@ -358,7 +358,7 @@ class TestDatasetFile:
         assert [(s.case_id, s.t) for s in back.samples] == [(s.case_id, s.t) for s in ds.samples]
         assert {s.num_robots for s in back.samples} == {2, 3}
         for a, b in zip(ds.samples, back.samples):
-            obs = team_observations(maps[b.map_id], b.positions, b.goals, 3).astype(np.uint8)
+            obs = team_observations(maps[b.map_id], b.positions, b.goals, 3)
             gso = build_gso(b.positions, 3.0).matrix
             for built, want in ((b.obs, obs), (b.gso, gso), (a.obs, obs), (a.gso, gso)):
                 assert built.shape == want.shape and built.tobytes() == want.tobytes()
@@ -403,7 +403,7 @@ class TestOneBuilderCallPerCase:
         ds.samples.reverse()
         p = tmp_path / "dataset.train.jsonl"
         save_dataset(str(p), ds)
-        calls = count_builder_calls(monkeypatch, datastore)
+        calls = count_builder_calls(monkeypatch, training)
         assert len(load_dataset(str(p), maps)) > len(pool)
         assert calls == {"team_observations": len(pool), "build_gso": len(pool)}
 

@@ -57,6 +57,25 @@ class TestArchitecture:
             for b in range(1, 17):
                 assert np.array_equal(net.encode(obs[:b]), full[:b]), (arch, b)
 
+    @pytest.mark.parametrize("rows", [1, 10, 640])
+    def test_uint8_observations_give_the_bits_of_their_float64_copy(self, rows):
+        # team_observations builds uint8 windows, and no caller widens them
+        obs = random_obs(np.random.default_rng(rows), rows).astype(np.uint8)
+        wide = obs.astype(np.float64)
+        for train in (True, False):
+            nets = PolicyNetwork(seed=0), PolicyNetwork(seed=0)
+            feats = [net.encode(x, train) for net, x in zip(nets, (obs, wide))]
+            assert feats[0].tobytes() == feats[1].tobytes(), train
+            if train:
+                gfeat = np.random.default_rng(0).standard_normal(feats[0].shape)
+                for net in nets:
+                    net.encode_backward(gfeat)
+                for name, grad in nets[0].store.grads.items():
+                    assert grad.tobytes() == nets[1].store.grads[name].tobytes(), name
+        net, gso = PolicyNetwork(seed=0), path_gso(rows)
+        probs = [policy_forward(net, x, gso) for x in (obs, wide)]
+        assert probs[0].tobytes() == probs[1].tobytes()
+
     def test_rejects_wrong_window(self):
         net = PolicyNetwork(seed=0)
         with pytest.raises(ShapeMismatch):
