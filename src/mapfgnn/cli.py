@@ -241,7 +241,7 @@ def _cmd_gen_cases(args, config: RunConfig) -> int:
 def _cmd_expert(args, config: RunConfig) -> int:
     maps = datastore.load_maps(args.maps)
     records = datastore.load_cases(args.cases, maps)
-    stats = datastore.PoolStats()
+    stats = datastore.PoolStats(requested=len(records))
     solved = datastore.solve_case_pool(
         maps,
         records,

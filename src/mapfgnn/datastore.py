@@ -69,17 +69,13 @@ def atomic_write_text(path: str, text: str) -> None:
 @contextmanager
 def _located(path: str, line: int):
     """Report what a reader raises as a ParseError at path:line: a missing
-    field (KeyError), a value of the wrong JSON type (TypeError), a broken
-    rule (ValueError), or a ParseError raised without a location."""
+    field (KeyError), a value of the wrong JSON type (TypeError) or a broken
+    rule (ValueError). The one place a JSON value's error gets a location."""
     try:
         yield
     except KeyError as exc:
         raise ParseError(f"missing field {exc}", path=path, line=line) from None
     except (TypeError, ValueError) as exc:
-        raise ParseError(str(exc), path=path, line=line) from None
-    except ParseError as exc:
-        if exc.path is not None:
-            raise
         raise ParseError(str(exc), path=path, line=line) from None
 
 
@@ -118,13 +114,6 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read file: {exc}", path=path)
-
-
-def _read_document(path: str, kind: str) -> dict:
-    """A single-document JSON artifact (weights, trace) with its header checked."""
-    doc = _parse_line(_read_text(path), path, 1)
-    _check_header(doc, kind, path)
-    return doc
 
 
 def _write_jsonl(path: str, kind: str, records: list, meta=None, **header_extra):
@@ -170,10 +159,6 @@ class CaseRecord:
     case_id: str
     case: Case
     plan: Plan | None = None
-
-    @property
-    def map_id(self) -> str:
-        return self.case.map_id
 
 
 @dataclass
@@ -425,7 +410,8 @@ def save_weights(path: str, net: PolicyNetwork, meta=None) -> None:
 
 
 def load_weights(path: str) -> PolicyNetwork:
-    doc = _read_document(path, "weights")
+    doc = _parse_line(_read_text(path), path, 1)
+    _check_header(doc, "weights", path)
     with _located(path, 1):
         return PolicyNetwork.from_jsonable(doc["model"])
 
@@ -444,14 +430,6 @@ def save_trace(path: str, traj: Trajectory, case_id: str = "", meta=None) -> Non
         "shielded": [[int(b) for b in step] for step in traj.shielded],
     }
     atomic_write_text(path, dumps_canonical(doc) + "\n")
-
-
-def load_trace(path: str) -> dict:
-    doc = _read_document(path, "trace")
-    missing = [k for k in ("case_id", "map_id", "positions", "success", "arrivals") if k not in doc]
-    if missing:
-        raise ParseError(f"missing field {missing[0]!r}", path=path, line=1)
-    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -661,9 +639,10 @@ def solve_case_pool(
     log=None,
 ) -> list[CaseRecord]:
     """Attach expert plans; timeouts and unsolvable cases are dropped and
-    counted. Output order follows input order regardless of worker count.
-    The one solve-and-drop rule: `expert`, `build-dataset` and the online
-    expert's repairs all solve through here.
+    counted, and stats.stored becomes the number solved. Output order
+    follows input order regardless of worker count. The one solve-and-drop
+    rule: `expert`, `build-dataset` and the online expert's repairs all
+    solve through here.
     """
     stats = stats if stats is not None else PoolStats()
     jobs = [(maps[rec.case.map_id], rec, timeout_s) for rec in records]
@@ -686,6 +665,7 @@ def solve_case_pool(
             stats.unsolvable += 1
             if log is not None:
                 log(f"unsolvable case {rec.case_id}")
+    stats.stored = len(solved)
     return solved
 
 
@@ -712,7 +692,6 @@ def build_dataset(
     solved = solve_case_pool(
         maps, records, timeout_s=timeout_s, workers=workers, stats=stats, log=log
     )
-    stats.stored = len(solved)
     return maps, solved, stats
 
 

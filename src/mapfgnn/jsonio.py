@@ -7,7 +7,9 @@ value came from (a file and line, or a config field).
 
 A float64 array (a weight, an optimizer moment) is one JSON string: the
 base64 text of its little-endian IEEE-754 bytes in C order. Every array has
-exactly one spelling, and it decodes to the bits it was written from.
+exactly one spelling, and it decodes to the bits it was written from. A named
+set of arrays (the weights, each Adam moment) maps each name to the entry
+{"shape": [...], "float64le": text}.
 """
 
 from __future__ import annotations
@@ -113,3 +115,35 @@ def read_float64s(value, n: int, name: str) -> np.ndarray:
     if not np.isfinite(array).all():
         raise ValueError(f"{name}: values are not all finite")
     return array
+
+
+def encode_arrays(arrays) -> dict:
+    """Each named float64 array as the entry {"shape": [...], "float64le": text},
+    in the mapping's order."""
+    return {
+        name: {"shape": list(array.shape), "float64le": encode_float64s(array)}
+        for name, array in arrays.items()
+    }
+
+
+def read_arrays(doc, arrays) -> list:
+    """The (target, values) pair of every named array in `arrays`, read from
+    entries encode_arrays wrote for the same names and shapes. Every entry is
+    checked before this returns, so a caller that assigns the pairs changes
+    all of its arrays or none."""
+    if type(doc) is not dict:
+        raise TypeError("float64 arrays are not a JSON object")
+    missing, extra = set(arrays) - set(doc), set(doc) - set(arrays)
+    if missing or extra:
+        raise ValueError(f"array names differ: missing {sorted(missing)}, extra {sorted(extra)}")
+    pairs = []
+    for name, target in arrays.items():
+        entry = doc[name]
+        if type(entry) is not dict:
+            raise TypeError(f"{name}: entry is not a JSON object")
+        shape = read_ints(entry["shape"])
+        if shape != target.shape:
+            raise ValueError(f"{name}: stored shape {list(shape)}, expected {list(target.shape)}")
+        values = read_float64s(entry["float64le"], target.size, name)
+        pairs.append((target, values.reshape(target.shape)))
+    return pairs

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NonFiniteGradient, ShapeMismatch
-from .jsonio import encode_float64s, read_float64s, read_ints
+from .jsonio import encode_arrays, read_arrays
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
@@ -31,9 +31,9 @@ class ParamStore:
     """Flat named view of a pipeline's parameters, gradients, and state.
 
     Arrays are shared with the owning layers, so in-place optimizer updates
-    propagate; nothing here may rebind an array. Its JSON form maps each
-    parameter and state array's name to its shape and its float64le text
-    (jsonio.encode_float64s), which holds the array's exact bits.
+    propagate; nothing here may rebind an array. Its JSON form is the
+    parameter and state arrays in jsonio.encode_arrays's entries, which hold
+    each array's exact bits.
     """
 
     def __init__(self):
@@ -61,30 +61,14 @@ class ParamStore:
                 raise NonFiniteGradient(f"gradient {name} is not finite")
 
     def to_jsonable(self) -> dict:
-        doc = {}
-        for name, arr in list(self.params.items()) + list(self.state.items()):
-            doc[name] = {"shape": list(arr.shape), "float64le": encode_float64s(arr)}
-        return doc
+        return encode_arrays({**self.params, **self.state})
 
     def load_jsonable(self, doc: dict) -> None:
-        """Restore what to_jsonable wrote: names or a shape other than the
-        store's raise ShapeMismatch, a float64le value read_float64s refuses
-        TypeError or ValueError."""
-        targets = dict(self.params)
-        targets.update(self.state)
-        missing = set(targets) - set(doc)
-        extra = set(doc) - set(targets)
-        if missing or extra:
-            raise ShapeMismatch(
-                f"weight names differ: missing {sorted(missing)}, extra {sorted(extra)}"
-            )
-        for name, arr in targets.items():
-            entry = doc[name]
-            if read_ints(entry["shape"]) != arr.shape:
-                raise ShapeMismatch(
-                    f"{name}: stored shape {entry['shape']} vs expected {arr.shape}"
-                )
-            arr[...] = read_float64s(entry["float64le"], arr.size, name).reshape(arr.shape)
+        """Restore what to_jsonable wrote, all or nothing: a doc
+        jsonio.read_arrays refuses raises KeyError, TypeError or ValueError
+        before any array changes."""
+        for arr, values in read_arrays(doc, {**self.params, **self.state}):
+            arr[...] = values
 
 
 @functools.cache

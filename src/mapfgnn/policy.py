@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, ShapeMismatch, VersionMismatch
+from .errors import ShapeMismatch, VersionMismatch
 from .gridworld import DEFAULT_COMM_RADIUS, DEFAULT_FOV_RADIUS, NUM_ACTIONS
 from .jsonio import read_int, read_ints, read_real
 from .nn_core import (
@@ -75,18 +75,16 @@ class PolicyArch:
 
     @classmethod
     def from_jsonable(cls, doc: dict) -> "PolicyArch":
-        """The arch a weights file records; a missing key, a value of the
-        wrong JSON type or a broken rule raises ParseError."""
-        try:
-            return cls(
-                fov_radius=read_int(doc["fov_radius"]),
-                comm_radius=read_real(doc["comm_radius"]),
-                taps=read_int(doc["taps"]),
-                features=read_int(doc["features"]),
-                channels=read_ints(doc["channels"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"weights arch is invalid: {exc!r}")
+        """The arch a weights file records; a missing key (KeyError), a value
+        of the wrong JSON type (TypeError) or a broken rule (ValueError)
+        raises as jsonio's readers do."""
+        return cls(
+            fov_radius=read_int(doc["fov_radius"]),
+            comm_radius=read_real(doc["comm_radius"]),
+            taps=read_int(doc["taps"]),
+            features=read_int(doc["features"]),
+            channels=read_ints(doc["channels"]),
+        )
 
 
 class PolicyNetwork:
@@ -170,19 +168,18 @@ class PolicyNetwork:
 
     @classmethod
     def from_jsonable(cls, doc: dict) -> "PolicyNetwork":
-        """The network a weights file records; a broken arch or params block
-        (missing, an entry without shape or float64le, a float64le value
-        jsonio.read_float64s refuses, a stored shape other than the arch's)
-        raises ParseError, and another format tag VersionMismatch."""
+        """The network a weights file records. Another format tag raises
+        VersionMismatch; a broken arch or params block raises KeyError,
+        TypeError or ValueError (PolicyArch.from_jsonable,
+        ParamStore.load_jsonable)."""
+        if type(doc) is not dict:
+            raise TypeError("weights model is not a JSON object")
         if doc.get("format") != WEIGHTS_FORMAT:
             raise VersionMismatch(
                 f"weights format {doc.get('format')!r}, expected {WEIGHTS_FORMAT!r}"
             )
-        net = cls(PolicyArch.from_jsonable(doc.get("arch")), seed=0)
-        try:
-            net.store.load_jsonable(doc["params"])
-        except (KeyError, TypeError, ValueError, ShapeMismatch) as exc:
-            raise ParseError(f"weights params are invalid: {exc!r}")
+        net = cls(PolicyArch.from_jsonable(doc["arch"]), seed=0)
+        net.store.load_jsonable(doc["params"])
         return net
 
 

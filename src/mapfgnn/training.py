@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError
 from .executor import NetworkPolicy, rollout_cases
 from .expert import DEFAULT_TIMEOUT_S, Plan, plan_to_labels, positions_at
 from .gridworld import (
@@ -27,7 +27,7 @@ from .gridworld import (
     build_gso,
     team_observations,
 )
-from .jsonio import encode_float64s, read_float64s, read_int
+from .jsonio import encode_arrays, read_arrays, read_int
 from .nn_core import one_hot, softmax_nll
 from .policy import PolicyNetwork
 
@@ -149,8 +149,8 @@ def cosine_lr(epoch: int, config: TrainConfig) -> float:
 class AdamState:
     """First/second moment buffers plus the bias-correction step count.
 
-    Its JSON form holds the step count and, per moment, each parameter's
-    buffer as float64le text (jsonio.encode_float64s), exact to the bit.
+    Its JSON form holds the step count and each moment in
+    jsonio.encode_arrays's entries, the weights' form, exact to the bit.
     """
 
     def __init__(self, store):
@@ -159,39 +159,17 @@ class AdamState:
         self.t = 0
 
     def to_jsonable(self) -> dict:
-        return {
-            "t": self.t,
-            "m": {k: encode_float64s(a) for k, a in self.m.items()},
-            "v": {k: encode_float64s(a) for k, a in self.v.items()},
-        }
+        return {"t": self.t, "m": encode_arrays(self.m), "v": encode_arrays(self.v)}
 
     def load_jsonable(self, doc: dict) -> None:
-        """Restore a state to_jsonable wrote for the same parameters.
-
-        Every check runs before anything is assigned: a missing or extra
-        parameter name, a buffer that is not the float64le text
-        read_float64s accepts (not a string, not canonical base64, another
-        length than the parameter, or a NaN or an infinity), or a step count
-        that is not a non-negative int raises ParseError and leaves the
-        state as it was.
-        """
-        try:
-            t = read_int(doc["t"])
-            if t < 0:
-                raise ValueError(f"step count {t} is negative")
-            loaded = []
-            for moment, buffers in (("m", self.m), ("v", self.v)):
-                stored = doc[moment]
-                missing, extra = set(buffers) - set(stored), set(stored) - set(buffers)
-                if missing or extra:
-                    raise ValueError(
-                        f"{moment} names differ: missing {sorted(missing)}, extra {sorted(extra)}"
-                    )
-                for name, arr in buffers.items():
-                    values = read_float64s(stored[name], arr.size, f"{moment}[{name}]")
-                    loaded.append((arr, values.reshape(arr.shape)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"optimizer state is invalid: {exc!r}")
+        """Restore a state to_jsonable wrote for the same parameters, all or
+        nothing: a step count that is not a non-negative int, or a moment
+        jsonio.read_arrays refuses, raises KeyError, TypeError or ValueError
+        and leaves the state as it was."""
+        t = read_int(doc["t"])
+        if t < 0:
+            raise ValueError(f"step count {t} is negative")
+        loaded = read_arrays(doc["m"], self.m) + read_arrays(doc["v"], self.v)
         self.t = t
         for arr, values in loaded:
             arr[...] = values

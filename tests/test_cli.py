@@ -1,7 +1,9 @@
 import argparse
+import ast
 import base64
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -12,10 +14,11 @@ import pytest
 
 from mapfgnn import cli, datastore, executor, training
 from mapfgnn.cli import RunConfig, build_parser, main, resolve_config
-from mapfgnn.datastore import load_trace, read_csv, solve_case_pool
+from mapfgnn.datastore import read_csv, solve_case_pool
 from mapfgnn.errors import ConfigError
 from mapfgnn.executor import NetworkPolicy, compute_metrics, rollout
 from mapfgnn.gridworld import Case, build_gso
+from mapfgnn.jsonio import loads
 
 
 def parse(argv):
@@ -340,6 +343,15 @@ def test_python_dash_m_runs_the_cli():
     assert done.stdout.strip() == cli.__version__
 
 
+def test_readme_python_api_block_runs():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(), re.M | re.S)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(compile(blocks[0], str(readme), "exec"), namespace)
+    assert namespace["report"].num_cases == 1
+
+
 class TestGeneration:
     def test_gen_maps_embeds_resolved_config(self, tmp_path, capsys):
         out = tmp_path / "maps.jsonl"
@@ -365,6 +377,21 @@ class TestGeneration:
         assert header["count"] == 4
         doc = json.loads(solved.read_text().splitlines()[1])
         assert doc["plan"] is not None
+
+    def test_expert_reports_requested_and_stored(self, tmp_path, capsys):
+        maps, cases = tmp_path / "maps.jsonl", tmp_path / "cases.jsonl"
+        assert main(["gen-maps", "--out", str(maps), "--num-maps", "3",
+                     "--width", "5", "--height", "5", "--seed", "4"]) == 0
+        assert main(["gen-cases", "--maps", str(maps), "--out", str(cases),
+                     "--cases-per-map", "3", "--robots", "2", "--seed", "4"]) == 0
+        count = json.loads(cases.read_text().splitlines()[0])["count"]
+        capsys.readouterr()
+        assert main(["expert", "--maps", str(maps), "--cases", str(cases),
+                     "--out", str(tmp_path / "solved.jsonl"), "--timeout-s", "30"]) == 0
+        line = capsys.readouterr().out.strip()
+        assert line.startswith(f"expert: solved {count}/{count} cases {{")
+        stats = ast.literal_eval(line[line.index("{"):])
+        assert (stats["requested"], stats["stored"]) == (count, count)
 
     def test_build_dataset_writes_all_files(self, tmp_path):
         data_dir = build_small_dataset(tmp_path)
@@ -438,7 +465,7 @@ class TestTrainEvalRollout:
         rc = main(["rollout", "--data-dir", str(data_dir), "--out", str(out),
                    "--policy", "expert-replay"])
         assert rc == 0
-        doc = load_trace(str(out))
+        doc = loads(out.read_text())
         assert doc["success"] is True
         assert doc["meta"]["command"] == "rollout"
 
@@ -579,7 +606,7 @@ class TestWeightsOwnTheRadius:
         assert rows == read_csv(str(expected), "report")[2]
         assert header["meta"]["arch"]["comm_radius"] == 2.0
 
-        doc = load_trace(str(trace))
+        doc = loads(trace.read_text())
         all_records = datastore.load_cases(str(data_dir / "cases.jsonl"), maps)
         rec = all_records[0]
         traj = rollout(policy, maps[rec.case.map_id], rec.case, rec.plan, seed=3)

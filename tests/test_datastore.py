@@ -16,7 +16,6 @@ from mapfgnn.datastore import (
     load_cases,
     load_dataset,
     load_maps,
-    load_trace,
     load_weights,
     read_csv,
     save_cases,
@@ -41,6 +40,7 @@ from mapfgnn.gridworld import (
     generate_map,
     team_observations,
 )
+from mapfgnn.jsonio import loads
 from mapfgnn.policy import PolicyArch, PolicyNetwork
 from mapfgnn.training import split_dataset
 
@@ -510,7 +510,7 @@ class TestTraceFile:
         traj = rollout(PlanReplayPolicy(rec.plan), grid, rec.case, rec.plan)
         p = tmp_path / "trace.json"
         save_trace(str(p), traj, case_id=rec.case_id, meta={"seed": 11})
-        doc = load_trace(str(p))
+        doc = loads(p.read_text())
         assert doc["case_id"] == rec.case_id
         assert doc["success"] is True
         assert [tuple(map(tuple, step)) for step in doc["positions"]] == [

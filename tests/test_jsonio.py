@@ -319,6 +319,10 @@ REFUSED = {
     "weight-bool": ("weights", lambda d: _weights_entry(d).update(float64le=True), 1),
     "weights-nested": ("weights", lambda d: _weights_entry(d).update(float64le=[[1.0]] * 4), 1),
     "weights-shape-real": ("weights", lambda d: _weights_entry(d).update(shape=[4.0]), 1),
+    "weights-entry-list": (
+        "weights", lambda d: d[0]["model"]["params"].update({"mlp.head.bias": [0.0] * 5}), 1
+    ),
+    "weights-model-int": ("weights", lambda d: d[0].update(model=5), 1),
     # the config file: (config, its JSON document, no line)
     "config-width-real": ("config", {"width": 6.9}, None),
     "config-width-string": ("config", {"width": "6"}, None),

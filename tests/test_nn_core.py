@@ -27,6 +27,7 @@ from mapfgnn.nn_core import (
     uniform_init,
 )
 from mapfgnn.gridworld import build_gso
+from mapfgnn.jsonio import encode_arrays
 from mapfgnn.policy import PolicyArch, PolicyNetwork
 
 
@@ -994,7 +995,7 @@ class TestParamStore:
         store, _, _ = self.build()
         doc = store.to_jsonable()
         doc["conv1.bias"]["shape"] = [7]
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match="conv1.bias"):
             store.load_jsonable(doc)
 
     @pytest.mark.parametrize("bad", [None, math.nan, math.inf, -math.inf])
@@ -1014,8 +1015,26 @@ class TestParamStore:
         store, _, _ = self.build()
         doc = store.to_jsonable()
         del doc["conv1.bias"]
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match="conv1.bias"):
             store.load_jsonable(doc)
+
+    @pytest.mark.parametrize("pick", [0, 3, -1], ids=["first", "middle", "last"])
+    def test_a_refused_load_changes_nothing(self, pick):
+        store, _, _ = self.build()
+        arrays = {**store.params, **store.state}
+        before = {name: arr.tobytes() for name, arr in arrays.items()}
+        # every entry holds other values than the store's; one is cut short
+        doc = encode_arrays({name: arr + 1.0 for name, arr in arrays.items()})
+        broken = list(doc)[pick]
+        text = doc[broken]["float64le"]
+        doc[broken]["float64le"] = text[:-12]
+        with pytest.raises(ValueError, match=broken):
+            store.load_jsonable(doc)
+        for name, arr in arrays.items():
+            assert arr.tobytes() == before[name], name
+        doc[broken]["float64le"] = text
+        store.load_jsonable(doc)
+        assert all(arr.tobytes() != before[name] for name, arr in arrays.items())
 
 
 class TestInit:

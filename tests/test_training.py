@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mapfgnn import datastore
-from mapfgnn.errors import ConfigError, NonFiniteGradient, ParseError, SolverTimeout
+from mapfgnn.errors import ConfigError, NonFiniteGradient, SolverTimeout
 from mapfgnn.executor import IdlePolicy, PlanReplayPolicy
 from mapfgnn.expert import cbs_solve
 from mapfgnn.gridworld import build_gso, generate_case, generate_map
@@ -204,23 +204,30 @@ def _set(value):
     return edit
 
 
+# what a loader of JSON values raises, as jsonio's readers do
+REFUSED = (KeyError, TypeError, ValueError)
+
+
 def _set_first_value(value):
     """Put a float's bytes first in a stored buffer, or anything else in
     place of the buffer's text."""
 
     def edit(doc, moment, name):
+        entry = doc[moment][name]
         if type(value) is not float:
-            doc[moment][name] = value
+            entry["float64le"] = value
             return
-        raw = bytearray(base64.b64decode(doc[moment][name]))
+        raw = bytearray(base64.b64decode(entry["float64le"]))
         raw[:8] = struct.pack("<d", value)
-        doc[moment][name] = base64.b64encode(raw).decode("ascii")
+        entry["float64le"] = base64.b64encode(raw).decode("ascii")
 
     return edit
 
 
 class TestAdamStateLoad:
-    """A broken optimizer state raises ParseError and changes nothing."""
+    """A broken optimizer state raises KeyError, TypeError or ValueError and
+    changes nothing. Each moment maps a parameter's name to the weights'
+    entry, {"shape": [...], "float64le": text}."""
 
     @pytest.mark.parametrize(
         "edit,path",
@@ -230,7 +237,7 @@ class TestAdamStateLoad:
             (_drop, ("v",)),
             (_drop, ("m", "mlp.head.bias")),
             (_drop, ("v", "cnn.conv0.weight")),
-            (_set([0.0] * 5), ("m", "extra.bias")),
+            (_set({"shape": [5], "float64le": encode_float64s(np.zeros(5))}), ("m", "extra.bias")),
         ],
         ids=["t", "m", "v", "m-name", "v-name", "extra-name"],
     )
@@ -240,14 +247,27 @@ class TestAdamStateLoad:
     @pytest.mark.parametrize("count", [0, 4, 6])
     def test_wrong_value_count(self, count):
         # the head bias has one value per action, 5: 4 and 6 are 8 bytes short and long
-        self.assert_rejected(_set(encode_float64s(np.full(count, 0.1))), ("m", "mlp.head.bias"))
+        text = encode_float64s(np.full(count, 0.1))
+        self.assert_rejected(_set(text), ("m", "mlp.head.bias", "float64le"))
 
     def test_wrong_shape(self):
         # the right count, but a nested list rather than the text to_jsonable writes
         store = PolicyNetwork(TINY, seed=0).store
         weight = store.params["mlp.head.weight"]
         nested = np.zeros(weight.shape).tolist()
-        self.assert_rejected(_set(nested), ("v", "mlp.head.weight"))
+        self.assert_rejected(_set(nested), ("v", "mlp.head.weight", "float64le"))
+
+    @pytest.mark.parametrize(
+        "shape", [[16, 5], [80], [5, 16, 1], [5.0, 16], None],
+        ids=["transposed", "flat", "extra-axis", "real", "null"],
+    )
+    def test_stored_shape_differs(self, shape):
+        # TINY's mlp.head.weight is (5, 16): the first three shapes hold its 80 values
+        self.assert_rejected(_set(shape), ("m", "mlp.head.weight", "shape"))
+
+    @pytest.mark.parametrize("entry", ["text", [1.0], None], ids=["string", "list", "null"])
+    def test_entry_not_an_object(self, entry):
+        self.assert_rejected(_set(entry), ("v", "cnn.conv0.bias"))
 
     @pytest.mark.parametrize("bad", [None, math.nan, math.inf, -math.inf, "0.1"])
     def test_non_finite_or_non_numeric_value(self, bad):
@@ -262,7 +282,7 @@ class TestAdamStateLoad:
             "non-canonical": text[:-2] + chr(ord(text[-2]) ^ 1) + "=",
             "whitespace": text[:20] + " " + text[20:],
         }[spelling]
-        self.assert_rejected(_set(value), ("m", "cnn.bn0.gamma"))
+        self.assert_rejected(_set(value), ("m", "cnn.bn0.gamma", "float64le"))
 
     @pytest.mark.parametrize("t", [1.0, "1", True, None, -1])
     def test_step_count_not_a_non_negative_int(self, t):
@@ -270,7 +290,7 @@ class TestAdamStateLoad:
 
     def test_not_a_mapping(self):
         store = PolicyNetwork(TINY, seed=0).store
-        with pytest.raises(ParseError):
+        with pytest.raises(REFUSED):
             AdamState(store).load_jsonable([1, 2, 3])
 
     def assert_rejected(self, edit, path):
@@ -282,12 +302,10 @@ class TestAdamStateLoad:
         adam.load_jsonable(good)
         doc = copy.deepcopy(good)
         edit(doc, *path)
-        with pytest.raises(ParseError):
+        with pytest.raises(REFUSED):
             adam.load_jsonable(doc)
         assert adam.t == good["t"]
-        for k in adam.m:
-            assert encode_float64s(adam.m[k]) == good["m"][k]
-            assert encode_float64s(adam.v[k]) == good["v"][k]
+        assert adam.to_jsonable() == good
 
 
 class TestSplit:
