@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 import sys
 
 import numpy as np
@@ -126,24 +127,31 @@ def encode_arrays(arrays) -> dict:
     }
 
 
-def read_arrays(doc, arrays) -> list:
-    """The (target, values) pair of every named array in `arrays`, read from
-    entries encode_arrays wrote for the same names and shapes. Every entry is
-    checked before this returns, so a caller that assigns the pairs changes
-    all of its arrays or none."""
+def read_arrays(doc, shapes) -> dict:
+    """Each named array of `shapes` (name -> shape), read from the entries
+    encode_arrays wrote for the same names and shapes, as read-only arrays in
+    the mapping's order. Every entry is checked before this returns, so a
+    caller that assigns them changes all of its arrays or none, and one that
+    allocates from `shapes` afterwards allocates no more than the entries
+    hold. Every refusal names its entry."""
     if type(doc) is not dict:
         raise TypeError("float64 arrays are not a JSON object")
-    missing, extra = set(arrays) - set(doc), set(doc) - set(arrays)
+    missing, extra = set(shapes) - set(doc), set(doc) - set(shapes)
     if missing or extra:
         raise ValueError(f"array names differ: missing {sorted(missing)}, extra {sorted(extra)}")
-    pairs = []
-    for name, target in arrays.items():
+    values = {}
+    for name, shape in shapes.items():
         entry = doc[name]
         if type(entry) is not dict:
             raise TypeError(f"{name}: entry is not a JSON object")
-        shape = read_ints(entry["shape"])
-        if shape != target.shape:
-            raise ValueError(f"{name}: stored shape {list(shape)}, expected {list(target.shape)}")
-        values = read_float64s(entry["float64le"], target.size, name)
-        pairs.append((target, values.reshape(target.shape)))
-    return pairs
+        for field in ("shape", "float64le"):
+            if field not in entry:
+                raise ValueError(f"{name}: missing field {field!r}")
+        try:
+            stored = read_ints(entry["shape"])
+        except TypeError as exc:
+            raise TypeError(f"{name}: shape {exc}") from None
+        if stored != tuple(shape):
+            raise ValueError(f"{name}: stored shape {list(stored)}, expected {list(shape)}")
+        values[name] = read_float64s(entry["float64le"], math.prod(shape), name).reshape(shape)
+    return values

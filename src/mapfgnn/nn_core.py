@@ -60,6 +60,10 @@ class ParamStore:
             if not np.isfinite(g).all():
                 raise NonFiniteGradient(f"gradient {name} is not finite")
 
+    def shapes(self) -> dict:
+        """name -> shape of every parameter and state array, in to_jsonable's order."""
+        return {name: arr.shape for name, arr in {**self.params, **self.state}.items()}
+
     def to_jsonable(self) -> dict:
         return encode_arrays({**self.params, **self.state})
 
@@ -67,8 +71,13 @@ class ParamStore:
         """Restore what to_jsonable wrote, all or nothing: a doc
         jsonio.read_arrays refuses raises KeyError, TypeError or ValueError
         before any array changes."""
-        for arr, values in read_arrays(doc, {**self.params, **self.state}):
-            arr[...] = values
+        self.assign(read_arrays(doc, self.shapes()))
+
+    def assign(self, values: dict) -> None:
+        """Write each named array of values (as read_arrays returns them) in place."""
+        arrays = {**self.params, **self.state}
+        for name, value in values.items():
+            arrays[name][...] = value
 
 
 @functools.cache
@@ -89,17 +98,24 @@ def _tap_matrix(h: int, w: int) -> np.ndarray:
     return taps
 
 
+def _channels_last(x: np.ndarray) -> np.ndarray:
+    """The C-contiguous (b, h, w, c) memory of a (b, c, h, w) array. Every
+    CNN activation and gradient is a view of such memory, which this returns
+    without a copy; an array stored in another layout is copied once."""
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1))
+
+
 class Conv2d:
     """3x3 cross-correlation, stride 1, zero padding 1; spatial size preserved.
 
     Two paths, chosen by the map's cell count and the train flag alone, never
-    by the batch size. Unrolled: the weight becomes a (c*h*w, c_out*h*w)
-    matrix holding only the taps that land on real cells, the flattened
-    input takes one dense GEMM with it, and backward folds the unrolled
-    gradient back onto the 3x3 taps. On a 1x1 map only the centre tap lands,
-    so the unrolled weight is that slice of the weight, transposed. im2col:
-    every cell's zero-padded 3x3 neighbourhood becomes one row of a GEMM with
-    the weight.
+    by the batch size. Unrolled: the weight becomes an (h*w*c, h*w*c_out)
+    matrix holding only the taps that land on real cells, with rows ordered
+    (yi, xi, ci) and columns (yo, xo, co), the channels-last input rows take
+    one dense GEMM with it, and backward folds the unrolled gradient back onto
+    the 3x3 taps. On a 1x1 map only the centre tap lands, so the unrolled
+    weight is that slice of the weight, transposed. im2col: every cell's
+    zero-padded 3x3 neighbourhood becomes one row of a GEMM with the weight.
 
     A map with fewer cells than the kernel has taps (h*w < 9) always
     unrolls, since most im2col taps would multiply padding. A train forward
@@ -109,10 +125,10 @@ class Conv2d:
     forward keeps im2col there, because a few-row step would read a large
     matrix for little work. Larger maps always run im2col.
 
-    The unrolled output is contiguous NCHW. The im2col output is an
-    NCHW-shaped view of the GEMM's own channels-last (b, h*w, c_out) result,
-    with no copy, and its backward reads a channels-last gradient without a
-    copy. Both paths take an input and a gradient of any layout.
+    Both paths read channels-last input rows and write channels-last output
+    rows, so the output and the input gradient are (b, c, h, w) views of
+    channels-last memory; an input or gradient in another layout is copied
+    once (im2col's padding copy takes any input as it is).
 
     An eval forward on a small map other than 1x1 keeps the unrolled matrix
     with a copy of the weight it came from, and reuses it while the weight
@@ -152,23 +168,23 @@ class Conv2d:
         c_out = self.weight.shape[0]
         if h * w < 9 or (train and h * w <= 16):
             unrolled = self._unrolled_weight(h, w, memoise=not train)
-            rows = x.reshape(b, c * h * w)
+            rows = _channels_last(x).reshape(b, h * w * c)
             # numpy sends a one-row product to gemv, which rounds differently
             # from gemm; two copies of the row keep it on gemm, so a robot's
             # features do not depend on the batch it is encoded in
             out = ((np.repeat(rows, 2, axis=0) if b == 1 else rows) @ unrolled)[:b]
-            out += np.repeat(self.bias, h * w)
             # (flattened input rows or im2col columns, input shape, unrolled weight)
             self._cache = (rows, x.shape, unrolled)
-            return out.reshape(b, c_out, h, w)
-        # channels-last padding: each cell's window is already (c, 3, 3) in order
-        padded = np.zeros((b, h + 2, w + 2, c))
-        padded[:, 1:-1, 1:-1] = x.transpose(0, 2, 3, 1)
-        cols = sliding_window_view(padded, (3, 3), axis=(1, 2)).reshape(b, h * w, c * 9)
-        out = cols @ self.weight.reshape(c_out, c * 9).T
+        else:
+            # channels-last padding: each cell's window is already (c, 3, 3) in order
+            padded = np.zeros((b, h + 2, w + 2, c))
+            padded[:, 1:-1, 1:-1] = x.transpose(0, 2, 3, 1)
+            cols = sliding_window_view(padded, (3, 3), axis=(1, 2)).reshape(b, h * w, c * 9)
+            out = cols @ self.weight.reshape(c_out, c * 9).T
+            self._cache = (cols, x.shape, None)
+        out = out.reshape(b, h, w, c_out)
         out += self.bias
-        self._cache = (cols, x.shape, None)
-        return out.transpose(0, 2, 1).reshape(b, c_out, h, w)
+        return out.transpose(0, 3, 1, 2)
 
     def _unrolled_weight(self, h: int, w: int, memoise: bool) -> np.ndarray:
         # every result is contiguous, so that every batch size takes the same
@@ -180,10 +196,11 @@ class Conv2d:
             if (mh, mw) == (h, w) and np.array_equal(source, self.weight):
                 return unrolled
         c_out, c = self.weight.shape[:2]
-        placed = self.weight.reshape(c_out, c, 9) @ _tap_matrix(h, w)
-        # (co, ci, yi, xi, yo, xo) -> rows (ci, yi, xi), columns (co, yo, xo)
-        placed = placed.reshape(c_out, c, h, w, h, w).transpose(1, 2, 3, 0, 4, 5)
-        unrolled = np.ascontiguousarray(placed.reshape(c * h * w, c_out * h * w))
+        taps_first = self.weight.reshape(c_out, c, 9).transpose(2, 1, 0).reshape(9, c * c_out)
+        placed = _tap_matrix(h, w).T @ taps_first
+        # (yi, xi, yo, xo, ci, co) -> rows (yi, xi, ci), columns (yo, xo, co)
+        placed = placed.reshape(h, w, h, w, c, c_out).transpose(0, 1, 4, 2, 3, 5)
+        unrolled = np.ascontiguousarray(placed.reshape(h * w * c, h * w * c_out))
         if memoise:
             unrolled.flags.writeable = False
             self._memo = (h, w, self.weight.copy(), unrolled)
@@ -192,69 +209,56 @@ class Conv2d:
     def backward(self, gout: np.ndarray) -> np.ndarray | None:
         inputs, (b, c, h, w), unrolled = self._cache
         c_out = self.weight.shape[0]
-        self.gbias += np.einsum("bchw->c", gout)
+        g = _channels_last(gout).reshape(b, h * w, c_out)
+        self.gbias += np.einsum("bsc->c", g)
         if unrolled is not None:
-            g2 = gout.reshape(b, c_out * h * w)
-            gplaced = (inputs.T @ g2).reshape(c, h, w, c_out, h, w)
-            gplaced = gplaced.transpose(3, 0, 1, 2, 4, 5).reshape(c_out, c, -1)
-            self.gweight += (gplaced @ _tap_matrix(h, w).T).reshape(self.weight.shape)
+            g2 = g.reshape(b, h * w * c_out)
+            gplaced = (inputs.T @ g2).reshape(h, w, c, h, w, c_out)
+            taps = _tap_matrix(h, w).reshape(9, h, w, h, w)
+            gtaps = np.tensordot(taps, gplaced, axes=([1, 2, 3, 4], [0, 1, 3, 4]))
+            self.gweight += gtaps.transpose(2, 1, 0).reshape(self.weight.shape)
             if not self.needs_input_grad:
                 return None
-            return (g2 @ unrolled.T).reshape(b, c, h, w)
-        g2 = gout.reshape(b, c_out, h * w).transpose(0, 2, 1)
-        self.gweight += np.tensordot(g2, inputs, axes=([0, 1], [0, 1])).reshape(
+            return (g2 @ unrolled.T).reshape(b, h, w, c).transpose(0, 3, 1, 2)
+        self.gweight += np.tensordot(g, inputs, axes=([0, 1], [0, 1])).reshape(
             self.weight.shape
         )
         if not self.needs_input_grad:
             return None
-        gcols = (g2 @ self.weight.reshape(c_out, c * 9)).reshape(b, h, w, c, 3, 3)
+        gcols = (g @ self.weight.reshape(c_out, c * 9)).reshape(b, h, w, c, 3, 3)
         gpad = np.zeros((b, h + 2, w + 2, c))
         for di in range(3):
             for dj in range(3):
                 gpad[:, di : di + h, dj : dj + w] += gcols[..., di, dj]
-        return gpad[:, 1:-1, 1:-1].transpose(0, 3, 1, 2)
+        return np.ascontiguousarray(gpad[:, 1:-1, 1:-1]).transpose(0, 3, 1, 2)
 
 
 def _per_channel(x: np.ndarray):
-    """BatchNorm2d's element-wise view of x: (rows, spread, shaped).
+    """BatchNorm2d's element-wise view of a channels-last x: (rows, spread, shaped).
 
-    rows is x as (b, c*h*w) rows in memory order when x is C-contiguous NCHW
-    or channels-last, spread(v) lays a per-channel vector out along such a
-    row (each entry h*w times over for NCHW, the whole vector h*w times over
-    for channels-last), and shaped(r) turns rows of that layout back into a
-    (b, c, h, w) view. A pass then runs one long inner loop instead of broadcasting
-    (c, 1, 1) over short ones (4 or 16 cells on the small NCHW maps, c on
-    channels-last ones). Any other layout keeps its shape and the broadcast.
-    Each element meets the same operands in every case, so the results
-    agree bit for bit.
+    rows is x as (b, h*w*c) rows in memory order, spread(v) lays a
+    per-channel vector out along such a row (the whole vector h*w times
+    over), and shaped(r) turns rows of that layout back into a (b, c, h, w)
+    view. A pass then runs one long inner loop instead of broadcasting a
+    (c,) vector over short rows of c.
     """
     b, c, h, w = x.shape
-    if x.flags.c_contiguous:
-        return (
-            x.reshape(b, -1),
-            lambda v: np.repeat(v, h * w),
-            lambda r: r.reshape(b, c, h, w),
-        )
-    last = x.transpose(0, 2, 3, 1)
-    if last.flags.c_contiguous:
-        return (
-            last.reshape(b, -1),
-            lambda v: np.repeat(v[None], h * w, axis=0).ravel(),
-            lambda r: r.reshape(b, h, w, c).transpose(0, 3, 1, 2),
-        )
-    return x, lambda v: v[:, None, None], lambda r: r
+    return (
+        x.transpose(0, 2, 3, 1).reshape(b, -1),
+        lambda v: np.repeat(v[None], h * w, axis=0).ravel(),
+        lambda r: r.reshape(b, h, w, c).transpose(0, 3, 1, 2),
+    )
 
 
 class BatchNorm2d:
     """Per-channel normalization over (batch, height, width).
 
-    Input and gradient may have any strides; statistics and gradients reduce
-    with einsum over the arrays as they lie in memory, with no reshaping
-    copy. Forward centres the input into one buffer that takes the input's
-    layout, normalises it there in place (it is the xhat backward needs) and
-    writes the output once; backward builds the input gradient in one
-    buffer. The element-wise passes run over long rows of a C-contiguous
-    NCHW or channels-last input (see _per_channel). Eval mode is element-wise:
+    Input and gradient are taken channels-last (see _channels_last), and
+    statistics and gradients reduce with einsum over them as they lie in
+    memory. Forward centres the input into one buffer, normalises it there
+    in place (it is the xhat backward needs) and writes the output once;
+    backward builds the input gradient in one buffer. The element-wise
+    passes run over long rows (see _per_channel). Eval mode is element-wise:
     ((x - running_mean) * inv_std) * gamma + beta.
     """
 
@@ -278,6 +282,7 @@ class BatchNorm2d:
             raise ShapeMismatch(
                 f"batchnorm2d expects (B,{self.gamma.shape[0]},H,W), got {x.shape}"
             )
+        x = _channels_last(x).transpose(0, 3, 1, 2)
         if train:
             m = x.size // x.shape[1]
             mean = np.einsum("bchw->c", x) / m
@@ -302,21 +307,22 @@ class BatchNorm2d:
 
     def backward(self, gout: np.ndarray) -> np.ndarray:
         xhat, inv_std, train = self._cache
+        gout = _channels_last(gout).transpose(0, 3, 1, 2)
         gsum = np.einsum("bchw->c", gout)
         gxsum = np.einsum("bchw,bchw->c", gout, xhat)
         self.gbeta += gsum
         self.ggamma += gxsum
-        scale = self.gamma * inv_std
+        grows, spread, shaped = _per_channel(gout)
+        scale = spread(self.gamma * inv_std)
         if not train:
-            return scale[:, None, None] * gout
+            return shaped(grows * scale)
         m = xhat.size // xhat.shape[1]
         # scale * (gout - (gsum + xhat * gxsum) / m), built in one buffer
-        rows, spread, shaped = _per_channel(xhat)
-        gin = rows * spread(gxsum)
+        gin = _per_channel(xhat)[0] * spread(gxsum)
         gin += spread(gsum)
         gin /= m
-        np.subtract(gout, shaped(gin), out=shaped(gin))
-        gin *= spread(scale)
+        np.subtract(grows, gin, out=gin)
+        gin *= scale
         return shaped(gin)
 
 
@@ -357,17 +363,13 @@ class MaxPool2d:
 
     Ties inside a window resolve to the first cell in row-major order.
 
-    The window slices run on channels-last memory, where numpy's inner loop
-    runs over the channels instead of over a few cells of a row: a
-    C-contiguous NCHW input is copied to channels-last first, and a
-    channels-last input is sliced as it lies. The output is channels-last.
+    The window slices run on channels-last memory (see _channels_last), where
+    numpy's inner loop runs over the channels instead of over a few cells of
+    a row. The output and the input gradient are channels-last.
 
     Only a train forward finds each window's argmax, and it caches that
     index, not the activation; an eval forward clears the cache, so a
-    backward after it raises. Backward writes the gradient in the forward
-    input's layout (C-contiguous NCHW, or channels-last for any other
-    input), so a BatchNorm before the pool reduces its gradient in the same
-    order as its activations.
+    backward after it raises.
     """
 
     def __init__(self):
@@ -383,10 +385,7 @@ class MaxPool2d:
         if x.ndim != 4 or x.shape[2] < 2 or x.shape[3] < 2:
             raise ShapeMismatch(f"maxpool2d expects (B,C,H>=2,W>=2), got {x.shape}")
         ho, wo = x.shape[2] // 2, x.shape[3] // 2
-        nchw = x.flags.c_contiguous
-        cells = x.transpose(0, 2, 3, 1)
-        if nchw:
-            cells = np.ascontiguousarray(cells)
+        cells = _channels_last(x)
         nw, ne, sw, se = (cells[:, i : 2 * ho : 2, j : 2 * wo : 2] for i in (0, 1) for j in (0, 1))
         top, bottom = np.maximum(nw, ne), np.maximum(sw, se)
         self._cache = None
@@ -397,21 +396,21 @@ class MaxPool2d:
             top_idx = (nw < ne).view(np.int8)
             bottom_idx = (sw < se).view(np.int8) + 2
             idx = bottom_idx - (top >= bottom) * (bottom_idx - top_idx)
-            self._cache = (idx, x.shape, nchw)
+            self._cache = (idx, x.shape)
         return np.maximum(top, bottom, out=top).transpose(0, 3, 1, 2)
 
     def backward(self, gout: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("maxpool2d backward needs a train-mode forward first")
-        idx, (b, c, h, w), nchw = self._cache
+        idx, (b, c, h, w) = self._cache
         ho, wo = idx.shape[1:3]
-        gin = np.zeros((b, c, h, w)) if nchw else np.zeros((b, h, w, c)).transpose(0, 3, 1, 2)
+        gin = np.zeros((b, h, w, c))
         # splitting the row and column axes of the windowed part is a view;
         # an odd trailing row or column keeps its zeros
-        windows = gin.transpose(0, 2, 3, 1)[:, : 2 * ho, : 2 * wo].reshape(b, ho, 2, wo, 2, c)
+        windows = gin[:, : 2 * ho, : 2 * wo].reshape(b, ho, 2, wo, 2, c)
         g = gout.transpose(0, 2, 3, 1)[:, :, None, :, None]
         np.multiply(g, idx[:, :, None, :, None] == _WINDOW_CELL, out=windows)
-        return gin
+        return gin.transpose(0, 3, 1, 2)
 
 
 class Linear:

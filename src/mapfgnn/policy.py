@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ShapeMismatch, VersionMismatch
 from .gridworld import DEFAULT_COMM_RADIUS, DEFAULT_FOV_RADIUS, NUM_ACTIONS
-from .jsonio import read_int, read_ints, read_real
+from .jsonio import read_arrays, read_int, read_ints, read_real
 from .nn_core import (
     BatchNorm2d,
     Conv2d,
@@ -72,6 +72,20 @@ class PolicyArch:
             "features": self.features,
             "channels": list(self.channels),
         }
+
+    def param_shapes(self) -> dict:
+        """name -> shape of every array PolicyNetwork(self).store holds, in
+        its to_jsonable order, computed without building a layer."""
+        params, state, c_prev = {}, {}, 3
+        for i, c in enumerate(self.channels):
+            params[f"cnn.conv{i}.weight"], params[f"cnn.conv{i}.bias"] = (c, c_prev, 3, 3), (c,)
+            params[f"cnn.bn{i}.gamma"] = params[f"cnn.bn{i}.beta"] = (c,)
+            state[f"cnn.bn{i}.running_mean"] = state[f"cnn.bn{i}.running_var"] = (c,)
+            c_prev = c
+        params["gnn.filter.taps"] = (self.taps, self.features, self.features)
+        params["mlp.head.weight"] = (NUM_ACTIONS, self.features)
+        params["mlp.head.bias"] = (NUM_ACTIONS,)
+        return {**params, **state}
 
     @classmethod
     def from_jsonable(cls, doc: dict) -> "PolicyArch":
@@ -171,15 +185,19 @@ class PolicyNetwork:
         """The network a weights file records. Another format tag raises
         VersionMismatch; a broken arch or params block raises KeyError,
         TypeError or ValueError (PolicyArch.from_jsonable,
-        ParamStore.load_jsonable)."""
+        jsonio.read_arrays). Every params entry is read against the arch's
+        shapes before any layer is built, so an arch its params do not hold
+        allocates nothing."""
         if type(doc) is not dict:
             raise TypeError("weights model is not a JSON object")
         if doc.get("format") != WEIGHTS_FORMAT:
             raise VersionMismatch(
                 f"weights format {doc.get('format')!r}, expected {WEIGHTS_FORMAT!r}"
             )
-        net = cls(PolicyArch.from_jsonable(doc["arch"]), seed=0)
-        net.store.load_jsonable(doc["params"])
+        arch = PolicyArch.from_jsonable(doc["arch"])
+        values = read_arrays(doc["params"], arch.param_shapes())
+        net = cls(arch, seed=0)
+        net.store.assign(values)
         return net
 
 

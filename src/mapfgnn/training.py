@@ -169,10 +169,11 @@ class AdamState:
         t = read_int(doc["t"])
         if t < 0:
             raise ValueError(f"step count {t} is negative")
-        loaded = read_arrays(doc["m"], self.m) + read_arrays(doc["v"], self.v)
+        shapes = {name: arr.shape for name, arr in self.m.items()}
+        m, v = read_arrays(doc["m"], shapes), read_arrays(doc["v"], shapes)
         self.t = t
-        for arr, values in loaded:
-            arr[...] = values
+        for name in shapes:
+            self.m[name][...], self.v[name][...] = m[name], v[name]
 
 
 def adam_step(store, adam: AdamState, lr: float, config: TrainConfig) -> None:

@@ -684,6 +684,24 @@ class TestWeightsOwnTheRadius:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ParseError" and f"{broken}:1" in err["message"]
 
+    def test_an_arch_its_params_do_not_hold_is_refused_before_allocating(
+        self, radius2_workspace, capsys
+    ):
+        # 10**12 taps of 128x128 float64s would be 116 PiB
+        tmp_path, data_dir, weights, _, _ = radius2_workspace
+        doc = json.loads(weights.read_text())
+        doc["model"]["arch"]["taps"] = 10**12
+        broken = tmp_path / "model_huge.json"
+        broken.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["eval", "--data-dir", str(data_dir), "--out-dir", str(tmp_path / "huge"),
+                   "--weights", str(broken)])
+        assert rc == 4
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ParseError" and f"{broken}:1" in err["message"]
+        assert "gnn.filter.taps" in err["message"]
+        assert not (tmp_path / "huge").exists()
+
     def test_build_dataset_refuses_a_fov_radius_the_cnn_cannot_run(self, tmp_path, capsys):
         out_dir = tmp_path / "data"
         rc = main(["build-dataset", "--out-dir", str(out_dir), "--num-maps", "2",

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mapfgnn import executor
 from mapfgnn.errors import EmptyInput
 from mapfgnn.executor import (
     IdlePolicy,
@@ -24,7 +25,7 @@ from mapfgnn.gridworld import (
     generate_map,
     team_observations,
 )
-from mapfgnn.nn_core import Conv2d
+from mapfgnn.nn_core import BatchNorm2d, Conv2d
 from mapfgnn.policy import PolicyArch, PolicyNetwork, policy_forward
 
 RIGHT, LEFT, UP, DOWN = 4, 2, 1, 3
@@ -183,7 +184,7 @@ class TestRollout:
 def rebuilt_unrolled_weight(conv, h, w, memoise):
     """Conv2d's small-map weight rebuilt through the tap matrix on every
     call, ignoring memoise: the arithmetic before the eval memo and the 1x1
-    slice."""
+    slice, with rows ordered (yi, xi, ci) and columns (yo, xo, co)."""
     c_out, c = conv.weight.shape[:2]
     yi, xi, yo, xo = np.indices((h, w, h, w)).reshape(4, -1)
     ky, kx = yi - yo + 1, xi - xo + 1
@@ -191,22 +192,41 @@ def rebuilt_unrolled_weight(conv, h, w, memoise):
     taps = np.zeros((9, h * w * h * w))
     taps[ky[pairs] * 3 + kx[pairs], pairs] = 1.0
     placed = conv.weight.reshape(c_out, c, 9) @ taps
-    placed = placed.reshape(c_out, c, h, w, h, w).transpose(1, 2, 3, 0, 4, 5)
-    return np.ascontiguousarray(placed.reshape(c * h * w, c_out * h * w))
+    placed = placed.reshape(c_out, c, h, w, h, w).transpose(2, 3, 1, 4, 5, 0)
+    return np.ascontiguousarray(placed.reshape(h * w * c, h * w * c_out))
 
 
 class ScalarDrawPolicy:
-    """NetworkPolicy's step with one Generator.choice (or argmax) per robot."""
+    """NetworkPolicy's step with one Generator.choice (or argmax) per robot;
+    it keeps each step's probabilities."""
 
     def __init__(self, net, mode):
         self.net, self.mode = net, mode
+        self.probs = []
 
     def act(self, grid, case, positions, t, rng):
         obs = team_observations(grid, positions, case.goals, self.net.arch.fov_radius)
         probs = policy_forward(self.net, obs, build_gso(positions, self.net.arch.comm_radius).matrix)
+        self.probs.append(probs)
         if self.mode == "greedy":
             return [int(np.argmax(row)) for row in probs]
         return [int(rng.choice(row.size, p=row / row.sum())) for row in probs]
+
+
+def net_with_running_statistics(seed):
+    """A paper-arch network whose BatchNorms hold the running statistics of
+    a few train forwards and non-trivial affine parameters, so its action
+    probabilities are far from uniform and move with any conv's arithmetic."""
+    net = PolicyNetwork(PolicyArch(), seed=seed)
+    rng = np.random.default_rng(seed)
+    for layer in net.cnn:
+        if isinstance(layer, BatchNorm2d):
+            layer.gamma[...] = rng.uniform(0.5, 2.0, size=layer.gamma.shape)
+            layer.beta[...] = rng.normal(0.0, 0.5, size=layer.beta.shape)
+    for _ in range(3):
+        net.encode((rng.random((64, 3, 9, 9)) < 0.3).astype(np.uint8), train=True)
+    net.head.weight *= 8.0
+    return net
 
 
 class TestNetworkPolicyEquivalence:
@@ -215,12 +235,23 @@ class TestNetworkPolicyEquivalence:
         m = generate_map(20, 20, 0.1, seed=11)
         case = generate_case(m, 10, seed=12)
         plan = cbs_solve(m, case)
-        net = PolicyNetwork(PolicyArch(), seed=13)
+        net = net_with_running_statistics(13)
+        reference = ScalarDrawPolicy(net, mode)
         with monkeypatch.context() as patched:
             patched.setattr(Conv2d, "_unrolled_weight", rebuilt_unrolled_weight)
-            expected = rollout(ScalarDrawPolicy(net, mode), m, case, plan, seed=14)
+            expected = rollout(reference, m, case, plan, seed=14)
+        probs = []
+
+        def recorded(*args):
+            probs.append(policy_forward(*args))
+            return probs[-1]
+
+        monkeypatch.setattr(executor, "policy_forward", recorded)
         got = rollout(NetworkPolicy(net, mode=mode), m, case, plan, seed=14)
         assert len(set(expected.positions)) > 1
+        assert len(probs) == len(reference.probs)
+        for step, want in zip(probs, reference.probs):
+            assert step.tobytes() == want.tobytes()
         assert got.positions == expected.positions
         assert got.shielded == expected.shielded
         assert got.arrivals == expected.arrivals

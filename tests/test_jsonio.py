@@ -298,6 +298,15 @@ def _duplicate_case(docs):
     docs[0]["count"] = 2
 
 
+# a refused weights entry is named at the start of the message
+NAMED_ENTRY = {
+    "weights-entry-list": "mlp.head.bias",
+    "weights-entry-no-shape": "cnn.bn0.gamma",
+    "weights-entry-no-float64le": "cnn.bn0.gamma",
+    "weights-entry-shape-int": "cnn.bn0.gamma",
+}
+
+
 # (artifact, edit of the file's JSON documents, line of the refused value)
 REFUSED = {
     "map-width-real": ("maps", _set_width(6.9), 2),
@@ -323,6 +332,9 @@ REFUSED = {
         "weights", lambda d: d[0]["model"]["params"].update({"mlp.head.bias": [0.0] * 5}), 1
     ),
     "weights-model-int": ("weights", lambda d: d[0].update(model=5), 1),
+    "weights-entry-no-shape": ("weights", lambda d: _weights_entry(d).pop("shape"), 1),
+    "weights-entry-no-float64le": ("weights", lambda d: _weights_entry(d).pop("float64le"), 1),
+    "weights-entry-shape-int": ("weights", lambda d: _weights_entry(d).update(shape=4), 1),
     # the config file: (config, its JSON document, no line)
     "config-width-real": ("config", {"width": 6.9}, None),
     "config-width-string": ("config", {"width": "6"}, None),
@@ -356,6 +368,8 @@ def test_refused_values_name_their_place(artifacts, rule, tmp_path):
     with pytest.raises(ParseError) as err:
         load(str(broken))
     assert f"{broken}:{line}" in str(err.value)
+    if rule in NAMED_ENTRY:
+        assert str(err.value).startswith(f"{NAMED_ENTRY[rule]}: ")
 
 
 @pytest.mark.parametrize(

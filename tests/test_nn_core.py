@@ -54,8 +54,9 @@ def reference_conv(conv, x):
 
 def reference_unrolled_forward(conv, x):
     """Small-map forward that rebuilds the unrolled weight from the 3x3 taps
-    on every call, through the 0/1 tap matrix; bit-for-bit the layer's
-    arithmetic, with no memo and no 1x1 slice."""
+    on every call, through the 0/1 tap matrix, with rows ordered (yi, xi, ci)
+    and columns (yo, xo, co) for channels-last input rows; bit-for-bit the
+    layer's arithmetic, with no memo and no 1x1 slice."""
     b, c, h, w = x.shape
     c_out = conv.weight.shape[0]
     yi, xi, yo, xo = np.indices((h, w, h, w)).reshape(4, -1)
@@ -64,11 +65,12 @@ def reference_unrolled_forward(conv, x):
     taps = np.zeros((9, h * w * h * w))
     taps[ky[pairs] * 3 + kx[pairs], pairs] = 1.0
     placed = conv.weight.reshape(c_out, c, 9) @ taps
-    placed = placed.reshape(c_out, c, h, w, h, w).transpose(1, 2, 3, 0, 4, 5)
-    unrolled = np.ascontiguousarray(placed.reshape(c * h * w, c_out * h * w))
-    rows = x.reshape(b, c * h * w)
+    placed = placed.reshape(c_out, c, h, w, h, w).transpose(2, 3, 1, 4, 5, 0)
+    unrolled = np.ascontiguousarray(placed.reshape(h * w * c, h * w * c_out))
+    rows = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(b, h * w * c)
     out = (np.repeat(rows, 2, axis=0) if b == 1 else rows) @ unrolled
-    return (out[:b] + np.repeat(conv.bias, h * w)).reshape(b, c_out, h, w)
+    out = out[:b] + np.tile(conv.bias, h * w)
+    return out.reshape(b, h, w, c_out).transpose(0, 3, 1, 2)
 
 
 class ReferenceBatchNorm2d(BatchNorm2d):
@@ -251,6 +253,11 @@ def in_layout(a, layout):
     if layout == "nchw":
         return np.ascontiguousarray(a)
     return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+def is_channels_last(a):
+    """a is a (b, c, h, w) view of C-contiguous (b, h, w, c) memory."""
+    return a.transpose(0, 2, 3, 1).flags.c_contiguous
 
 
 def assert_close(got, want, tol=1e-12):
@@ -712,8 +719,10 @@ class TestPoolBeforeRelu:
         bn, ref_bn = BatchNorm2d(channels), BroadcastBatchNorm2d(channels)
         bn.gamma[...] = ref_bn.gamma[...] = rng.uniform(0.5, 1.5, size=channels)
         bn.beta[...] = ref_bn.beta[...] = rng.uniform(-2.0, 0.5, size=channels)
+        # the layers take any layout and work channels-last, the layout the
+        # reference layers are fed
         chain = [front, Relayout(layout), bn, MaxPool2d(), ReLU(), back]
-        ref = [copy.deepcopy(front), Relayout(layout), ref_bn, SelectReLU(),
+        ref = [copy.deepcopy(front), Relayout("channels_last"), ref_bn, SelectReLU(),
                StridedMaxPool2d(), copy.deepcopy(back)]
 
         out = forward_chain(chain, x, train=True)
@@ -762,14 +771,16 @@ class TestLayoutAndEvalContracts:
     @pytest.mark.parametrize("layout", ["nchw", "channels_last"])
     @pytest.mark.parametrize("size", [(9, 9), (4, 4), (2, 2), (5, 4)], ids=lambda s: "%dx%d" % s)
     def test_maxpool_gradient_takes_the_input_layout(self, size, layout):
-        # a gradient in another layout makes the BatchNorm before the pool
-        # reduce in another order, and the weights drift in the last bits
+        """Whatever layout the input is handed in, the gradient is
+        channels-last and equals the argmax reference: the BatchNorm before
+        the pool reduces its gradient in the order of its channels-last
+        activations."""
         rng = np.random.default_rng(25)
         x = in_layout(rng.normal(size=(3, 5) + size), layout)
         mp = MaxPool2d()
         gout = rng.normal(size=mp.forward(x).shape)
         gin = mp.backward(gout)
-        assert gin.strides == x.strides
+        assert is_channels_last(gin)
         _, ref_gin = reference_maxpool(np.ascontiguousarray(x), gout)
         assert np.array_equal(gin, ref_gin)
 
@@ -791,15 +802,78 @@ class TestLayoutAndEvalContracts:
         bn.running_var[...] = rng.uniform(0.5, 2.0, size=4)
         ref.gamma[...], ref.running_mean[...] = bn.gamma, bn.running_mean
         ref.running_var[...] = bn.running_var
-        x = in_layout(rng.normal(size=(3, 4, 4, 4)), layout)
-        gout = in_layout(rng.normal(size=x.shape), layout)
-        assert_bytes_equal(bn.forward(x, train=False), ref.forward(x, train=False))
-        gin = bn.backward(gout)
+        x = rng.normal(size=(3, 4, 4, 4))
+        gout = rng.normal(size=x.shape)
+        # the layer takes any layout and works channels-last, the layout the
+        # reference is fed
+        x_in, g_in = in_layout(x, layout), in_layout(gout, layout)
+        x, gout = in_layout(x, "channels_last"), in_layout(gout, "channels_last")
+        assert_bytes_equal(bn.forward(x_in, train=False), ref.forward(x, train=False))
+        gin = bn.backward(g_in)
         assert_bytes_equal(gin, ref.backward(gout))
         scale = (bn.gamma / np.sqrt(bn.running_var + nn_core.BN_EPS))[:, None, None]
         assert np.allclose(gin, scale * gout, rtol=1e-15, atol=0)
         assert_bytes_equal(bn.ggamma, ref.ggamma)
         assert_bytes_equal(bn.gbeta, ref.gbeta)
+
+
+class TestOneLayout:
+    """Every CNN activation and gradient is a (b, c, h, w) view of
+    channels-last memory, and a layer handed another layout computes the
+    same bits from its one channels-last copy."""
+
+    @pytest.mark.parametrize("rows,train", [(640, True), (1, False), (10, False)])
+    def test_paper_arch_pass_is_channels_last(self, rows, train):
+        net = PolicyNetwork(PolicyArch(), seed=0)
+        rng = np.random.default_rng(28)
+        x = (rng.random((rows, 3, 9, 9)) < 0.3).astype(np.uint8)
+        for layer in net.cnn:
+            x = layer.forward(x, train)
+            assert is_channels_last(x), type(layer).__name__
+        if not train:
+            return
+        g = rng.normal(size=x.shape)
+        for layer in reversed(net.cnn[1:]):
+            g = layer.backward(g)
+            assert is_channels_last(g), type(layer).__name__
+        assert net.cnn[0].backward(g) is None
+
+    LAYERS = {
+        "conv-9x9-im2col": (lambda rng: Conv2d(3, 4, rng), (9, 9), True),
+        "conv-4x4-unrolled": (lambda rng: Conv2d(3, 4, rng), (4, 4), True),
+        "conv-4x4-eval": (lambda rng: Conv2d(3, 4, rng), (4, 4), False),
+        "conv-2x2-eval": (lambda rng: Conv2d(3, 4, rng), (2, 2), False),
+        "conv-1x1": (lambda rng: Conv2d(3, 4, rng), (1, 1), True),
+        "bn-train": (lambda rng: BatchNorm2d(3), (4, 4), True),
+        "bn-eval": (lambda rng: BatchNorm2d(3), (2, 3), False),
+        "pool-5x4": (lambda rng: MaxPool2d(), (5, 4), True),
+        "relu": (lambda rng: ReLU(), (4, 4), True),
+    }
+
+    @pytest.mark.parametrize("name", list(LAYERS))
+    def test_either_input_layout_gives_the_same_bytes(self, name):
+        make, size, train = self.LAYERS[name]
+        rng = np.random.default_rng(29)
+        x = rng.normal(size=(3, 3) + size)
+        base = make(rng)
+        layers = {layout: copy.deepcopy(base) for layout in ("nchw", "channels_last")}
+        outs, gins = {}, {}
+        for layout, layer in layers.items():
+            outs[layout] = layer.forward(in_layout(x, layout), train)
+            gout = np.random.default_rng(30).normal(size=outs[layout].shape)
+            gins[layout] = layer.backward(in_layout(gout, layout))
+        assert_bytes_equal(outs["nchw"], outs["channels_last"])
+        assert_bytes_equal(gins["nchw"], gins["channels_last"])
+        if not isinstance(base, ReLU):
+            # ReLU is element-wise and keeps its input's layout
+            assert is_channels_last(outs["nchw"]) and is_channels_last(gins["nchw"])
+        pairs = zip(layers["nchw"].parameters(), layers["channels_last"].parameters())
+        for (_, p, g), (_, q, h) in pairs:
+            assert_bytes_equal(p, q)
+            assert_bytes_equal(g, h)
+        pairs = zip(layers["nchw"].state_arrays(), layers["channels_last"].state_arrays())
+        for (_, p), (_, q) in pairs:
+            assert_bytes_equal(p, q)
 
 
 class TestLinear:

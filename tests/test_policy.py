@@ -295,6 +295,26 @@ class TestSerialization:
         arch = PolicyArch(taps=2)
         assert PolicyArch.from_jsonable(arch.to_jsonable()) == arch
 
+    @pytest.mark.parametrize("arch", [PolicyArch(), TINY, PolicyArch(fov_radius=6, taps=1)])
+    def test_param_shapes_are_the_built_store_shapes(self, arch):
+        shapes = PolicyNetwork(arch, seed=0).store.shapes()
+        assert list(arch.param_shapes().items()) == list(shapes.items())
+
+    @pytest.mark.parametrize(
+        "edit", [{"taps": 10**12}, {"channels": [4, 4, 8, 8, 16, 10**9], "features": 10**9}],
+        ids=["taps", "channels"],
+    )
+    def test_params_are_read_before_any_layer_is_built(self, edit, monkeypatch):
+        doc = PolicyNetwork(TINY, seed=0).to_jsonable()
+        doc["arch"].update(edit)
+
+        def build(*args, **kwargs):
+            raise AssertionError("a layer was built")
+
+        monkeypatch.setattr(PolicyNetwork, "__init__", build)
+        with pytest.raises(ValueError, match="stored shape"):
+            PolicyNetwork.from_jsonable(doc)
+
 
 class TestEndToEndGradients:
     def test_policy_plus_loss_matches_finite_differences(self):
