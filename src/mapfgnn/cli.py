@@ -272,7 +272,6 @@ def _cmd_build_dataset(args, config: RunConfig) -> int:
     )
     if not solved:
         raise InfeasibleCase("empty solved pool")
-    os.makedirs(args.out_dir, exist_ok=True)
     meta = _meta("build-dataset", config)
     datastore.save_maps(os.path.join(args.out_dir, "maps.jsonl"), maps, meta=meta)
     datastore.save_cases(os.path.join(args.out_dir, "cases.jsonl"), solved, meta=meta)
@@ -319,10 +318,9 @@ def _cmd_train(args, config: RunConfig) -> int:
     log_path = os.path.join(args.out_dir, "log.csv")
     history = []
 
+    # the first checkpoint makes out_dir: fit checks its inputs before any
+    # epoch, so a refused run leaves no directory
     def on_epoch(net_, adam_, epoch_, row):
-        # made at the first checkpoint: fit checks its inputs before any
-        # epoch, so a refused run leaves no directory
-        os.makedirs(args.out_dir, exist_ok=True)
         history.append(row)
         datastore.save_weights(weights_path, net_, meta=meta)
         datastore.save_training_log(log_path, history, meta=meta)
@@ -373,7 +371,6 @@ def _cmd_eval(args, config: RunConfig) -> int:
     if not records:
         raise EmptyInput(f"no cases found for split {args.split!r}")
     net = datastore.load_weights(args.weights) if args.policy == "network" else None
-    os.makedirs(args.out_dir, exist_ok=True)
     trajectories = rollout_cases(
         lambda rec: _make_policy(args.policy, rec, net), maps, records, config.seed
     )

@@ -59,7 +59,9 @@ _CASE_STREAM = 49979687
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file and rename so readers never see partials."""
+    """Write via a temp file and rename so readers never see partials. The
+    one place an output directory is made: a missing parent is created."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)

@@ -118,9 +118,10 @@ def collision_shield(grid: GridMap, positions, proposed):
 class NetworkPolicy:
     """Wraps a PolicyNetwork for rollout: observe, communicate, act.
 
-    The communication radius defaults to the one the weights were trained
-    for, net.arch.comm_radius. Each step draws the whole team's actions in
-    one select_actions call.
+    The communication radius is the one the weights were trained for,
+    net.arch.comm_radius; a comm_radius passed that differs from it raises
+    ValueError. Each step draws the whole team's actions in one
+    select_actions call.
     """
 
     def __init__(
@@ -131,13 +132,17 @@ class NetworkPolicy:
     ):
         if mode not in ACTION_MODES:
             raise ValueError(f"unknown mode {mode!r}")
+        if comm_radius is not None and comm_radius != net.arch.comm_radius:
+            raise ValueError(
+                f"comm_radius={comm_radius}, but the weights were trained "
+                f"with {net.arch.comm_radius}"
+            )
         self.net = net
         self.mode = mode
-        self.comm_radius = net.arch.comm_radius if comm_radius is None else comm_radius
 
     def act(self, grid, case, positions, t, rng):
         obs = team_observations(grid, positions, case.goals, self.net.arch.fov_radius)
-        gso = build_gso(positions, self.comm_radius).matrix
+        gso = build_gso(positions, self.net.arch.comm_radius).matrix
         probs = policy_forward(self.net, obs, gso)
         return select_actions(probs, self.mode, rng)
 

@@ -81,21 +81,22 @@ class ParamStore:
 
 
 @functools.cache
-def _tap_matrix(h: int, w: int) -> np.ndarray:
-    """0/1 matrix (9, h*w*h*w) from 3x3 taps to (input cell, output cell) pairs.
+def _landing(h: int, w: int) -> np.ndarray:
+    """Int table (3, n) of the (input cell, output cell, tap) triples where a
+    3x3 tap lands on a real cell of an h x w map.
 
-    Column (yi, xi, yo, xo) holds a single 1 at tap (yi-yo+1, xi-xo+1) when
-    input cell (yi, xi) lies in output cell (yo, xo)'s window, and is all
-    zeros otherwise. Multiplying by it moves each weight without rounding.
-    Built once per shape and shared, so it is read-only.
+    Input cell (yi, xi) lies in output cell (yo, xo)'s window at tap
+    (yi-yo+1, xi-xo+1); cells are numbered y*w + x and taps ky*3 + kx. The
+    triples are ordered by tap, and within a tap by (yi, xi, yo, xo). Built
+    once per shape and shared, so it is read-only.
     """
     yi, xi, yo, xo = np.indices((h, w, h, w)).reshape(4, -1)
     ky, kx = yi - yo + 1, xi - xo + 1
-    pairs = np.flatnonzero((ky >= 0) & (ky < 3) & (kx >= 0) & (kx < 3))
-    taps = np.zeros((9, h * w * h * w))
-    taps[ky[pairs] * 3 + kx[pairs], pairs] = 1.0
-    taps.flags.writeable = False
-    return taps
+    lands = (ky >= 0) & (ky < 3) & (kx >= 0) & (kx < 3)
+    table = np.stack([yi * w + xi, yo * w + xo, ky * 3 + kx])[:, lands]
+    table = table[:, np.argsort(table[2], kind="stable")]
+    table.flags.writeable = False
+    return table
 
 
 def _channels_last(x: np.ndarray) -> np.ndarray:
@@ -109,13 +110,14 @@ class Conv2d:
     """3x3 cross-correlation, stride 1, zero padding 1; spatial size preserved.
 
     Two paths, chosen by the map's cell count and the train flag alone, never
-    by the batch size. Unrolled: the weight becomes an (h*w*c, h*w*c_out)
-    matrix holding only the taps that land on real cells, with rows ordered
-    (yi, xi, ci) and columns (yo, xo, co), the channels-last input rows take
-    one dense GEMM with it, and backward folds the unrolled gradient back onto
-    the 3x3 taps. On a 1x1 map only the centre tap lands, so the unrolled
-    weight is that slice of the weight, transposed. im2col: every cell's
-    zero-padded 3x3 neighbourhood becomes one row of a GEMM with the weight.
+    by the batch size. Unrolled: the taps that land on real cells (the
+    _landing table) are placed into a zeroed (h*w*c, h*w*c_out) matrix with
+    rows ordered (yi, xi, ci) and columns (yo, xo, co), the channels-last
+    input rows take one dense GEMM with it, and backward sums each tap's
+    landed (c, c_out) blocks of the unrolled gradient in table order. On a
+    1x1 map only the centre tap lands, so the unrolled weight is that slice
+    of the weight, transposed. im2col: every cell's zero-padded 3x3
+    neighbourhood becomes one row of a GEMM with the weight.
 
     A map with fewer cells than the kernel has taps (h*w < 9) always
     unrolls, since most im2col taps would multiply padding. A train forward
@@ -196,11 +198,11 @@ class Conv2d:
             if (mh, mw) == (h, w) and np.array_equal(source, self.weight):
                 return unrolled
         c_out, c = self.weight.shape[:2]
-        taps_first = self.weight.reshape(c_out, c, 9).transpose(2, 1, 0).reshape(9, c * c_out)
-        placed = _tap_matrix(h, w).T @ taps_first
-        # (yi, xi, yo, xo, ci, co) -> rows (yi, xi, ci), columns (yo, xo, co)
-        placed = placed.reshape(h, w, h, w, c, c_out).transpose(0, 1, 4, 2, 3, 5)
-        unrolled = np.ascontiguousarray(placed.reshape(h * w * c, h * w * c_out))
+        cell_in, cell_out, tap = _landing(h, w)
+        # (yi, xi), ci, (yo, xo), co: already rows (yi, xi, ci), columns (yo, xo, co)
+        unrolled = np.zeros((h * w, c, h * w, c_out))
+        unrolled[cell_in, :, cell_out, :] = self.weight.reshape(c_out, c, 9).T[tap]
+        unrolled = unrolled.reshape(h * w * c, h * w * c_out)
         if memoise:
             unrolled.flags.writeable = False
             self._memo = (h, w, self.weight.copy(), unrolled)
@@ -213,10 +215,12 @@ class Conv2d:
         self.gbias += np.einsum("bsc->c", g)
         if unrolled is not None:
             g2 = g.reshape(b, h * w * c_out)
-            gplaced = (inputs.T @ g2).reshape(h, w, c, h, w, c_out)
-            taps = _tap_matrix(h, w).reshape(9, h, w, h, w)
-            gtaps = np.tensordot(taps, gplaced, axes=([1, 2, 3, 4], [0, 1, 3, 4]))
-            self.gweight += gtaps.transpose(2, 1, 0).reshape(self.weight.shape)
+            cell_in, cell_out, tap = _landing(h, w)
+            landed = (inputs.T @ g2).reshape(h * w, c, h * w, c_out)[cell_in, :, cell_out, :]
+            # each tap's blocks summed one by one in table order: the rounding
+            # then depends on no BLAS blocking of the reduction
+            gtaps = np.stack([landed[tap == k].sum(axis=0) for k in range(9)])
+            self.gweight += gtaps.T.reshape(self.weight.shape)
             if not self.needs_input_grad:
                 return None
             return (g2 @ unrolled.T).reshape(b, h, w, c).transpose(0, 3, 1, 2)

@@ -298,6 +298,26 @@ def test_a_stage_that_solves_nothing_exits_3(tmp_path, capsys, command, line):
     assert not (tmp_path / "d").exists()
 
 
+def test_single_file_outputs_make_their_directories(tmp_path):
+    """gen-maps, gen-cases, expert and rollout create a missing parent
+    directory of --out, as the --out-dir commands create theirs."""
+    maps = tmp_path / "fresh" / "sub" / "maps.jsonl"
+    cases = tmp_path / "cases" / "sub" / "cases.jsonl"
+    data = tmp_path / "data" / "sub"
+    trace = tmp_path / "trace" / "sub" / "trace.json"
+    size = ["--width", "6", "--height", "6", "--seed", "3"]
+    assert main(["gen-maps", "--out", str(maps), "--num-maps", "1", *size]) == 0
+    assert main(["gen-cases", "--maps", str(maps), "--out", str(cases),
+                 "--cases-per-map", "1", "--robots", "2", "--seed", "3"]) == 0
+    assert main(["expert", "--maps", str(maps), "--cases", str(cases),
+                 "--out", str(data / "cases.jsonl")]) == 0
+    (data / "maps.jsonl").write_bytes(maps.read_bytes())
+    assert main(["rollout", "--data-dir", str(data), "--out", str(trace),
+                 "--policy", "expert-replay"]) == 0
+    assert trace.exists()
+    assert sorted(p.name for p in tmp_path.rglob("*.tmp")) == []
+
+
 class TestExpertRejectsBadCases:
     """Cases CBS cannot handle are a ParseError of the cases file, not a
     crash, a timeout or a silently shortened case."""

@@ -52,25 +52,56 @@ def reference_conv(conv, x):
     return out.transpose(0, 2, 1).reshape(b, -1, h, w)
 
 
-def reference_unrolled_forward(conv, x):
-    """Small-map forward that rebuilds the unrolled weight from the 3x3 taps
-    on every call, through the 0/1 tap matrix, with rows ordered (yi, xi, ci)
-    and columns (yo, xo, co) for channels-last input rows; bit-for-bit the
-    layer's arithmetic, with no memo and no 1x1 slice."""
-    b, c, h, w = x.shape
-    c_out = conv.weight.shape[0]
+def reference_tap_matrix(h, w):
+    """0/1 matrix (9, h*w*h*w): column (yi, xi, yo, xo) holds a single 1 at
+    tap (yi-yo+1, xi-xo+1) when input cell (yi, xi) lies in output cell
+    (yo, xo)'s window, and is all zeros otherwise."""
     yi, xi, yo, xo = np.indices((h, w, h, w)).reshape(4, -1)
     ky, kx = yi - yo + 1, xi - xo + 1
     pairs = np.flatnonzero((ky >= 0) & (ky < 3) & (kx >= 0) & (kx < 3))
     taps = np.zeros((9, h * w * h * w))
     taps[ky[pairs] * 3 + kx[pairs], pairs] = 1.0
-    placed = conv.weight.reshape(c_out, c, 9) @ taps
+    return taps
+
+
+def reference_unrolled_weight(conv, h, w):
+    """The unrolled weight moved through the 0/1 tap matrix, rows ordered
+    (yi, xi, ci) and columns (yo, xo, co)."""
+    c_out, c = conv.weight.shape[:2]
+    placed = conv.weight.reshape(c_out, c, 9) @ reference_tap_matrix(h, w)
     placed = placed.reshape(c_out, c, h, w, h, w).transpose(2, 3, 1, 4, 5, 0)
-    unrolled = np.ascontiguousarray(placed.reshape(h * w * c, h * w * c_out))
-    rows = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(b, h * w * c)
+    return np.ascontiguousarray(placed.reshape(h * w * c, h * w * c_out))
+
+
+def channels_last_rows(x):
+    b = x.shape[0]
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(b, -1)
+
+
+def reference_unrolled_forward(conv, x):
+    """Small-map forward that rebuilds the unrolled weight from the 3x3 taps
+    on every call, through the 0/1 tap matrix, for channels-last input rows;
+    bit-for-bit the layer's arithmetic, with no memo and no 1x1 slice."""
+    b, c, h, w = x.shape
+    c_out = conv.weight.shape[0]
+    rows = channels_last_rows(x)
+    unrolled = reference_unrolled_weight(conv, h, w)
     out = (np.repeat(rows, 2, axis=0) if b == 1 else rows) @ unrolled
     out = out[:b] + np.tile(conv.bias, h * w)
     return out.reshape(b, h, w, c_out).transpose(0, 3, 1, 2)
+
+
+def reference_unrolled_backward(conv, x, gout):
+    """(weight gradient, input gradient) of the small-map unrolled path: the
+    unrolled gradient folded onto the 3x3 taps by one tensordot with the 0/1
+    tap matrix, and the output gradient's GEMM with the unrolled weight."""
+    b, c, h, w = x.shape
+    rows, g2 = channels_last_rows(x), channels_last_rows(gout)
+    gplaced = (rows.T @ g2).reshape(h, w, c, h, w, -1)
+    taps = reference_tap_matrix(h, w).reshape(9, h, w, h, w)
+    gtaps = np.tensordot(taps, gplaced, axes=([1, 2, 3, 4], [0, 1, 3, 4]))
+    gin = (g2 @ reference_unrolled_weight(conv, h, w).T).reshape(b, h, w, c)
+    return gtaps.transpose(2, 1, 0).reshape(conv.weight.shape), gin.transpose(0, 3, 1, 2)
 
 
 class ReferenceBatchNorm2d(BatchNorm2d):
@@ -429,6 +460,66 @@ class TestConv2dTrainUnrolled:
             assert all(len(conv._cache[1]) == 4 for conv in convs)
 
 
+# (c_in, c_out) of every unrolled conv in the paper, criterion 08 and tiny archs
+UNROLLED_WIDTHS = sorted(
+    {(32, 32), (32, 64), (64, 64), (64, 128), (128, 128)}
+    | {(16, 16), (16, 32), (32, 32), (32, 64), (64, 64)}
+    | {(4, 4), (4, 8), (8, 8), (8, 16), (16, 16)}
+)
+
+
+class TestConv2dLanding:
+    """The unrolled path places the weight and folds its gradient through
+    the landing table, with the bytes of the 0/1 tap matrix arithmetic."""
+
+    @pytest.mark.parametrize(
+        "h,w,count", [(1, 1, 1), (2, 2, 16), (3, 3, 49), (4, 4, 100), (2, 3, 28)]
+    )
+    def test_landing_table_is_cached_read_only_and_exact(self, h, w, count):
+        table = nn_core._landing(h, w)
+        assert table is nn_core._landing(h, w)
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+        # (tap, yi, xi, yo, xo) of every input cell in an output cell's window
+        want = sorted(
+            ((yi - yo + 1) * 3 + xi - xo + 1, yi, xi, yo, xo)
+            for yi, yo in itertools.product(range(h), repeat=2)
+            for xi, xo in itertools.product(range(w), repeat=2)
+            if abs(yi - yo) <= 1 and abs(xi - xo) <= 1
+        )
+        assert len(want) == count
+        got = [(k, *divmod(i, w), *divmod(o, w)) for i, o, k in table.T.tolist()]
+        assert got == want
+
+    def run(self, c_in, c_out, size, rows):
+        rng = np.random.default_rng(c_in * 1000 + c_out * 10 + size + rows)
+        conv = Conv2d(c_in, c_out, rng)
+        x = rng.normal(size=(rows, c_in, size, size))
+        gout = rng.normal(size=(rows, c_out, size, size))
+        out = conv.forward(x, train=True)
+        assert conv._cache[2] is not None
+        assert_bytes_equal(out, reference_unrolled_forward(conv, x))
+        gin = conv.backward(gout)
+        return conv, gin, reference_unrolled_backward(conv, x, gout)
+
+    @pytest.mark.parametrize("rows", [1, 3, 640])
+    @pytest.mark.parametrize("size", [2, 3, 4])
+    def test_fold_is_the_tap_matrix_fold_byte_for_byte(self, size, rows):
+        for c_in, c_out in UNROLLED_WIDTHS:
+            conv, gin, (gweight, want_gin) = self.run(c_in, c_out, size, rows)
+            assert_bytes_equal(conv.gweight, gweight)
+            assert_bytes_equal(gin, want_gin)
+
+    @pytest.mark.parametrize("rows", [1, 3, 640])
+    @pytest.mark.parametrize("size", [2, 3, 4])
+    def test_widths_off_a_multiple_of_4(self, size, rows):
+        # the tensordot's own rounding depends on how BLAS takes leftover
+        # columns here, so only the weight gradient may move, in the last bits
+        conv, gin, (gweight, want_gin) = self.run(5, 7, size, rows)
+        assert_close(conv.gweight, gweight, tol=1e-14)
+        assert_bytes_equal(gin, want_gin)
+
+
 class TestConv2dEvalMemo:
     """Eval forwards on small maps reuse the unrolled weight; every output
     must still be bit-identical to a per-call rebuild."""
@@ -503,11 +594,6 @@ class TestConv2dEvalMemo:
         conv.weight[2, 3, 0, 0] += 0.5
         self.assert_matches(conv, x, train=True)
         self.assert_matches(conv, x)
-
-    def test_tap_matrix_is_built_once_per_shape_and_read_only(self):
-        assert nn_core._tap_matrix(2, 2) is nn_core._tap_matrix(2, 2)
-        with pytest.raises(ValueError):
-            nn_core._tap_matrix(2, 2)[0, 0] = 2.0
 
 
 class TestBatchNorm2d:

@@ -276,6 +276,13 @@ class TestSelectAction:
         with pytest.raises(ValueError, match="other"):
             NetworkPolicy(PolicyNetwork(TINY, seed=0), mode="other")
 
+    def test_a_radius_other_than_the_weights_is_refused(self):
+        net = PolicyNetwork(TINY, seed=0)
+        assert NetworkPolicy(net, comm_radius=net.arch.comm_radius).net is net
+        for radius in (net.arch.comm_radius + 1.0, net.arch.comm_radius / 2):
+            with pytest.raises(ValueError, match="comm_radius"):
+                NetworkPolicy(net, comm_radius=radius)
+
 
 class TestSerialization:
     def test_round_trip_preserves_outputs(self):
