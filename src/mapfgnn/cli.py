@@ -301,10 +301,9 @@ def _cmd_train(args, config: RunConfig) -> int:
     else:
         valid_ds = replace(train_ds, split="valid", samples=[])
     train_records = None
-    cases_path = os.path.join(args.data_dir, "cases.jsonl")
-    if not args.no_oe and os.path.exists(cases_path):
+    if not args.no_oe:
         train_ids = train_ds.case_ids()
-        pool = datastore.load_cases(cases_path, maps)
+        pool = datastore.load_cases(os.path.join(args.data_dir, "cases.jsonl"), maps)
         train_records = [rec for rec in pool if rec.case_id in train_ids]
     try:
         arch = replace(

@@ -4,8 +4,8 @@ Pools and datasets are JSON-lines: line 1 is a header carrying the schema
 tag, the record kind, a record count (for truncation checks), and caller
 metadata; every following line is one record. Reals are spelled by repr,
 so float64 values round-trip bit-exactly and re-running a seeded pipeline
-reproduces files byte for byte. Datasets store geometry only: observations
-and communication matrices are rebuilt from stored positions on load.
+reproduces files byte for byte. A dataset split stores its solved cases
+in the cases file's spelling; its samples are re-expanded on load.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import io
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from itertools import groupby
 
 import numpy as np
 
@@ -27,11 +28,10 @@ from .errors import (
     VersionMismatch,
 )
 from .executor import MetricsReport, Trajectory
-from .expert import DEFAULT_TIMEOUT_S, Plan, cbs_solve, validate_plan
+from .expert import DEFAULT_TIMEOUT_S, Plan, cbs_solve, plan_to_labels, validate_plan
 from .gridworld import (
     DEFAULT_COMM_RADIUS,
     DEFAULT_FOV_RADIUS,
-    NUM_ACTIONS,
     Case,
     GridMap,
     generate_case,
@@ -44,12 +44,11 @@ from .jsonio import (
     loads,
     read_cells,
     read_int,
-    read_ints,
     read_real,
     read_str,
 )
 from .policy import PolicyNetwork
-from .training import Dataset, case_samples
+from .training import Dataset
 
 SCHEMA_VERSION = "mapfgnn-files-v1"
 
@@ -245,45 +244,42 @@ def _plan_from_doc(doc: dict) -> Plan:
     )
 
 
-def _read_team(doc: dict, maps: dict[str, GridMap], cells_key: str):
-    """(map_id, the robots' cells under cells_key, their goals), checked as
-    every case and sample must be: on a known map, as many goals as robots
-    and at least one, every cell free on the map, and no two robots on one
-    cell or one goal."""
+def _read_team(doc: dict, maps: dict[str, GridMap]):
+    """(map_id, starts, goals), checked as every case must be: on a known
+    map, as many goals as robots and at least one, every cell free on the
+    map, and no two robots on one cell or one goal."""
     map_id = read_str(doc["map_id"])
     grid = maps.get(map_id)
     if grid is None:
         raise ValueError(f"unknown map_id {map_id!r}")
-    cells, goals = read_cells(doc[cells_key]), read_cells(doc["goals"])
-    if not cells or len(cells) != len(goals):
+    starts, goals = read_cells(doc["starts"]), read_cells(doc["goals"])
+    if not starts or len(starts) != len(goals):
         raise ValueError("robot and goal counts differ or are 0")
-    if len(set(cells)) < len(cells) or len(set(goals)) < len(goals):
+    if len(set(starts)) < len(starts) or len(set(goals)) < len(goals):
         raise ValueError("two robots share a cell or a goal")
-    if not all(map(grid.is_free, cells + goals)):
+    if not all(map(grid.is_free, starts + goals)):
         raise ValueError(f"a cell or goal is not free on {map_id!r}")
-    return map_id, cells, goals
+    return map_id, starts, goals
 
 
-def save_cases(path: str, records: list[CaseRecord], meta=None) -> None:
-    docs = []
-    for rec in records:
-        docs.append(
-            {
-                "case_id": rec.case_id,
-                "map_id": rec.case.map_id,
-                "starts": _cells_to_lists(rec.case.starts),
-                "goals": _cells_to_lists(rec.case.goals),
-                "plan": _plan_to_doc(rec.plan) if rec.plan is not None else None,
-            }
-        )
-    _write_jsonl(path, "cases", docs, meta=meta)
+def _case_doc(rec: CaseRecord) -> dict:
+    """The one spelling of a case record, in cases and dataset files alike."""
+    return {
+        "case_id": rec.case_id,
+        "map_id": rec.case.map_id,
+        "starts": _cells_to_lists(rec.case.starts),
+        "goals": _cells_to_lists(rec.case.goals),
+        "plan": _plan_to_doc(rec.plan) if rec.plan is not None else None,
+    }
 
 
-def load_cases(path: str, maps: dict[str, GridMap]) -> list[CaseRecord]:
-    """Load case records, each case_id once. Starts and goals obey
-    _read_team's rules, and every stored plan is re-validated against its
-    map."""
-    _, records = _read_jsonl(path, "cases")
+def _read_cases(
+    path: str, records, maps: dict[str, GridMap], solved: bool
+) -> list[CaseRecord]:
+    """The case records of a file's (record, line number) pairs, each
+    case_id once. Starts and goals obey _read_team's rules, every stored
+    plan is re-validated against its map, and a solved file refuses a
+    null plan."""
     out = []
     seen = set()
     for doc, lineno in records:
@@ -292,9 +288,11 @@ def load_cases(path: str, maps: dict[str, GridMap]) -> list[CaseRecord]:
             if case_id in seen:
                 raise ValueError(f"duplicate case_id {case_id!r}")
             seen.add(case_id)
-            map_id, starts, goals = _read_team(doc, maps, "starts")
+            map_id, starts, goals = _read_team(doc, maps)
             case = Case(map_id=map_id, starts=starts, goals=goals)
             plan = doc["plan"]
+            if plan is None and solved:
+                raise ValueError(f"case {case_id!r} has no plan")
             if plan is not None:
                 plan = _plan_from_doc(plan)
                 try:
@@ -305,8 +303,50 @@ def load_cases(path: str, maps: dict[str, GridMap]) -> list[CaseRecord]:
     return out
 
 
+def save_cases(path: str, records: list[CaseRecord], meta=None) -> None:
+    _write_jsonl(path, "cases", [_case_doc(rec) for rec in records], meta=meta)
+
+
+def load_cases(path: str, maps: dict[str, GridMap]) -> list[CaseRecord]:
+    """Load case records as _read_cases checks them; a plan may be null."""
+    _, records = _read_jsonl(path, "cases")
+    return _read_cases(path, records, maps, solved=False)
+
+
 # ---------------------------------------------------------------------------
-# datasets (per-timestep samples)
+# datasets (a split's solved cases, expanded to per-timestep samples on load)
+
+
+def _case_from_samples(run: list) -> CaseRecord:
+    """The solved case whose expansion is run. Its starts are the cells at
+    t = 0, and robot i's path is its cells over t followed by its goal, less
+    trailing repeats at the goal: a CBS path never ends in a wait there. A
+    run whose t is not 0, 1, ..., whose map or goals change, or whose plan
+    does not re-expand to exactly its positions and labels raises
+    ValueError."""
+    first = run[0]
+    whole = [s.t for s in run] == list(range(len(run))) and all(
+        (s.map_id, s.goals) == (first.map_id, first.goals) for s in run
+    )
+    if whole:
+        paths = []
+        for i, goal in enumerate(first.goals):
+            path = [s.positions[i] for s in run] + [goal]
+            while len(path) >= 2 and path[-1] == path[-2] == goal:
+                path.pop()
+            paths.append(tuple(path))
+        costs = [len(p) - 1 for p in paths]
+        plan = Plan(paths=tuple(paths), flowtime=sum(costs), makespan=max(costs))
+        try:
+            # the rebuilt positions equal run's once the makespan does
+            whole = plan.makespan == len(run) and np.array_equal(
+                plan_to_labels(plan), np.stack([s.labels for s in run])
+            )
+        except KeyError:  # a jump that no action makes
+            whole = False
+    if not whole:
+        raise ValueError(f"samples of {first.case_id!r} are not one whole trajectory")
+    return CaseRecord(first.case_id, Case(first.map_id, first.positions, first.goals), plan)
 
 
 def save_dataset(
@@ -316,28 +356,25 @@ def save_dataset(
     comm_radius: float | None = None,
     meta=None,
 ) -> None:
-    """Samples as geometry (positions, goals, labels); load rebuilds tensors
-    at the radii the header takes from the dataset. A radius passed that
-    differs from the dataset's raises ValueError."""
+    """The solved cases whose expansions the dataset holds, one line each in
+    save_cases's spelling, under a header with the dataset's radii, at which
+    load rebuilds the samples. The samples must be whole trajectories, case
+    after case with t ascending, as expand_samples and load_dataset give
+    them; other samples, or a radius passed that differs from the dataset's,
+    raise ValueError before any write."""
     for name, given in (("fov_radius", fov_radius), ("comm_radius", comm_radius)):
         built = getattr(dataset, name)
         if given is not None and given != built:
             raise ValueError(f"{name}={given}, but the dataset was built with {built}")
-    docs = [
-        {
-            "case_id": s.case_id,
-            "map_id": s.map_id,
-            "t": s.t,
-            "positions": _cells_to_lists(s.positions),
-            "goals": _cells_to_lists(s.goals),
-            "labels": [int(a) for a in s.labels],
-        }
-        for s in dataset.samples
-    ]
+    records: dict[str, CaseRecord] = {}
+    for case_id, run in groupby(dataset.samples, key=lambda s: s.case_id):
+        if case_id in records:
+            raise ValueError(f"samples of {case_id!r} do not form one run")
+        records[case_id] = _case_from_samples(list(run))
     _write_jsonl(
         path,
         "dataset",
-        docs,
+        [_case_doc(rec) for rec in records.values()],
         meta=meta,
         split=dataset.split,
         fov_radius=int(dataset.fov_radius),
@@ -346,12 +383,10 @@ def save_dataset(
 
 
 def load_dataset(path: str, maps: dict[str, GridMap]) -> Dataset:
-    """Samples rebuilt from stored geometry at the header's radii, an
-    integer fov_radius of at least 1 and a comm_radius above 0, in file
-    order, under the header's string split; one case_samples call per
-    (case_id, map_id, team size). Positions and goals obey _read_team's
-    rules, with one label per robot, each an action index, and no
-    (case_id, t) appears twice."""
+    """The samples of a split's solved cases, in file order, re-expanded by
+    expand_samples at the header's radii, an integer fov_radius of at least
+    1 and a comm_radius above 0, under the header's string split. Records
+    are read as load_cases reads them, and each must hold a plan."""
     header, records = _read_jsonl(path, "dataset")
     with _located(path, 1):
         fov = read_int(header["fov_radius"])
@@ -361,35 +396,8 @@ def load_dataset(path: str, maps: dict[str, GridMap]) -> Dataset:
             raise ValueError(f"fov_radius {fov} is below 1")
         if comm <= 0:
             raise ValueError(f"comm_radius {comm!r} is not above 0")
-    rows = []
-    cases: dict[tuple, list[int]] = {}
-    seen = set()
-    for doc, lineno in records:
-        with _located(path, lineno):
-            map_id, positions, goals = _read_team(doc, maps, "positions")
-            labels = read_ints(doc["labels"])
-            if len(labels) != len(positions):
-                raise ValueError("label and robot counts differ")
-            if not all(0 <= a < NUM_ACTIONS for a in labels):
-                raise ValueError(f"labels must lie in [0, {NUM_ACTIONS})")
-            case_id, t = read_str(doc["case_id"]), read_int(doc["t"])
-            if (case_id, t) in seen:
-                raise ValueError(f"sample {case_id!r} t={t} repeats an earlier line")
-            seen.add((case_id, t))
-            # the tensors come from one stacked call per case, wherever its lines sit
-            cases.setdefault((case_id, map_id, len(positions)), []).append(len(rows))
-            rows.append((t, positions, goals, labels))
-    # rows hold all that is left to read; the documents go before the tensors come
-    del records
-    samples = [None] * len(rows)
-    for (case_id, map_id, _), picks in cases.items():
-        ts, positions, goals, labels = zip(*(rows[i] for i in picks))
-        built = case_samples(
-            maps[map_id], case_id, map_id, ts, positions, goals, labels, fov, comm
-        )
-        for i, sample in zip(picks, built):
-            samples[i] = sample
-    return Dataset(split=split, samples=samples, fov_radius=fov, comm_radius=comm)
+    pool = _read_cases(path, records, maps, solved=True)
+    return expand_samples(pool, maps, split=split, fov_radius=fov, comm_radius=comm)
 
 
 def load_dataset_case_ids(path: str) -> set[str]:
@@ -705,6 +713,8 @@ def expand_samples(
     comm_radius: float = DEFAULT_COMM_RADIUS,
 ) -> Dataset:
     """One sample per expert timestep for every solved record in the pool."""
+    # looked up at call time, not bound at import: perfbench's span patch
+    # replaces training.expand_case, and dataset loads expand through here too
     from .training import expand_case
 
     samples = []

@@ -241,6 +241,8 @@ def compute_metrics(trajectories, plans) -> MetricsReport:
     num_success = sum(1 for t in trajectories if t.success)
     flowtime = sum(sum(t.arrivals) for t in trajectories)
     expert_flowtime = sum(p.flowtime for p in plans)
+    if expert_flowtime == 0:
+        raise EmptyInput("expert flowtime is 0, so δFT is undefined")
     histogram: dict[int, int] = {}
     for t in trajectories:
         k = t.robots_at_goal

@@ -64,12 +64,13 @@ class TrainConfig:
 
 @dataclass
 class Sample:
-    """One timestep of one case; observations stored as compact binary.
+    """One timestep of one solved case's expert trajectory, as expand_case
+    builds it.
 
     obs is (N, 3, W, W) uint8 and gso (N, N), views of the stacks
-    case_samples builds per case. Positions and goals make the sample
-    self-describing: observations and the communication matrix are rebuilt
-    from them plus the map, so persistence stores just the geometry.
+    expand_case builds per case. Positions and goals are the team's cells
+    at t and its goals; a dataset file stores the case, not its samples,
+    and loading re-expands it.
     """
 
     case_id: str
@@ -105,25 +106,6 @@ class Dataset:
         return {s.case_id for s in self.samples}
 
 
-def case_samples(grid: GridMap, case_id: str, map_id: str, ts, positions, goals, labels,
-                 fov_radius: int, comm_radius: float) -> list[Sample]:
-    """The samples of one case's rows, the one place a Sample is built.
-
-    Row k is timestep ts[k], with the team's cells positions[k], its goals
-    goals[k] and the expert's actions labels[k]. One team_observations and
-    one build_gso call build every row's tensors; each sample holds views.
-    """
-    labels = np.asarray(labels, dtype=np.int64)
-    # shaped by the labels, so a case with no rows keeps its team size
-    cells = np.array(positions, dtype=np.int64).reshape(labels.shape + (2,))
-    obs = team_observations(grid, cells, np.reshape(goals, cells.shape), fov_radius)
-    gso = build_gso(cells, comm_radius).matrix
-    return [
-        Sample(case_id, t, obs[k], gso[k], labels[k], map_id, positions[k], goals[k])
-        for k, t in enumerate(ts)
-    ]
-
-
 def expand_case(
     grid: GridMap,
     case: Case,
@@ -132,12 +114,21 @@ def expand_case(
     fov_radius: int = DEFAULT_FOV_RADIUS,
     comm_radius: float = DEFAULT_COMM_RADIUS,
 ) -> list[Sample]:
-    """Per-timestep samples along the expert trajectory, t in [0, makespan)."""
-    ts = range(plan.makespan)
-    steps = [tuple(positions_at(plan.paths, t)) for t in ts]
-    goals = [tuple(case.goals)] * len(ts)
-    return case_samples(grid, case_id, case.map_id, ts, steps, goals, plan_to_labels(plan),
-                        fov_radius, comm_radius)
+    """Per-timestep samples along the expert trajectory, t in [0, makespan),
+    the one place a Sample is built. One team_observations and one build_gso
+    call build every timestep's tensors; each sample holds views of them.
+    """
+    labels = plan_to_labels(plan)
+    steps = [tuple(positions_at(plan.paths, t)) for t in range(plan.makespan)]
+    # shaped by the labels, so a plan with no steps keeps its team size
+    cells = np.array(steps, dtype=np.int64).reshape(labels.shape + (2,))
+    obs = team_observations(grid, cells, case.goals, fov_radius)
+    gso = build_gso(cells, comm_radius).matrix
+    goals = tuple(case.goals)
+    return [
+        Sample(case_id, t, obs[t], gso[t], labels[t], case.map_id, step, goals)
+        for t, step in enumerate(steps)
+    ]
 
 
 def cosine_lr(epoch: int, config: TrainConfig) -> float:

@@ -17,7 +17,8 @@ from mapfgnn.cli import RunConfig, build_parser, main, resolve_config
 from mapfgnn.datastore import read_csv, solve_case_pool
 from mapfgnn.errors import ConfigError
 from mapfgnn.executor import NetworkPolicy, compute_metrics, rollout
-from mapfgnn.gridworld import Case, build_gso
+from mapfgnn.expert import Plan
+from mapfgnn.gridworld import Case, GridMap, build_gso
 from mapfgnn.jsonio import loads
 
 
@@ -419,6 +420,23 @@ class TestGeneration:
                      "dataset.valid.jsonl", "dataset.test.jsonl"):
             assert (data_dir / name).exists()
 
+    def test_split_records_are_the_cases_file_lines(self, tmp_path):
+        data_dir = build_small_dataset(tmp_path)
+        cases = dict(
+            (json.loads(line)["case_id"], line)
+            for line in (data_dir / "cases.jsonl").read_text().splitlines()[1:]
+        )
+        held = []
+        for split in ("train", "valid", "test"):
+            path = data_dir / f"dataset.{split}.jsonl"
+            header, *lines = path.read_text().splitlines()
+            assert json.loads(header)["count"] == len(lines)
+            for line in lines:
+                held.append(json.loads(line)["case_id"])
+                assert line == cases[held[-1]]
+        # every case moves, so every case sits in exactly one split
+        assert sorted(held) == sorted(cases)
+
     def test_build_dataset_reruns_byte_identical(self, tmp_path):
         dir_a = build_small_dataset(tmp_path / "a", seed=21)
         dir_b = build_small_dataset(tmp_path / "b", seed=21)
@@ -529,6 +547,73 @@ class TestTrainEvalRollout:
         assert rc == 0
         _, _, rows = read_csv(str(out_dir / "report.csv"), "report")
         assert rows[0]["num_cases"] == str(len(expected))
+
+
+class TestRefusedInputs:
+    def test_train_reads_cases_for_the_online_expert(self, workspace, tmp_path, capsys):
+        _, data_dir, _, config = workspace
+        bare = tmp_path / "bare"
+        shutil.copytree(data_dir, bare)
+        (bare / "cases.jsonl").unlink()
+        argv = ["train", "--data-dir", str(bare), "--config", config, "--epochs", "1",
+                "--oe-interval", "1"]
+        capsys.readouterr()
+        assert main([*argv, "--out-dir", str(tmp_path / "run")]) == 4
+        (line,) = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "ParseError" and "cannot read file" in err["message"]
+        assert str(bare / "cases.jsonl") in err["message"]
+        assert not (tmp_path / "run").exists()
+        assert main([*argv, "--out-dir", str(tmp_path / "run_no_oe"), "--no-oe"]) == 0
+        _, _, rows = read_csv(str(tmp_path / "run_no_oe" / "log.csv"), "training-log")
+        assert rows[0]["oe_rolled"] == ""
+
+    def test_a_per_timestep_split_is_refused_at_its_first_record(
+        self, workspace, tmp_path, capsys
+    ):
+        _, data_dir, _, config = workspace
+        old = tmp_path / "old"
+        shutil.copytree(data_dir, old)
+        path = old / "dataset.train.jsonl"
+        maps = datastore.load_maps(str(old / "maps.jsonl"))
+        ds = datastore.load_dataset(str(path), maps)
+        header = json.loads(path.read_text().splitlines()[0])
+        header["count"] = len(ds)
+        rows = [
+            {"case_id": s.case_id, "map_id": s.map_id, "t": s.t,
+             "positions": [list(c) for c in s.positions], "goals": [list(c) for c in s.goals],
+             "labels": s.labels.tolist()}
+            for s in ds.samples
+        ]
+        path.write_text("".join(json.dumps(doc) + "\n" for doc in [header, *rows]))
+        out = tmp_path / "run"
+        capsys.readouterr()
+        rc = main(["train", "--data-dir", str(old), "--out-dir", str(out), "--config", config,
+                   "--epochs", "1"])
+        assert rc == 4
+        (line,) = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "ParseError" and f"{path}:2" in err["message"]
+        assert "missing field" in err["message"]
+        assert not out.exists()
+
+    def test_eval_refuses_a_zero_expert_flowtime(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        grid = GridMap(4, 4, frozenset())
+        datastore.save_maps(str(data / "maps.jsonl"), {"m0": grid})
+        goals = ((0, 0), (3, 3))
+        plan = Plan(paths=((goals[0],), (goals[1],)), flowtime=0, makespan=0)
+        record = datastore.CaseRecord("m0/c0", Case("m0", goals, goals), plan)
+        datastore.save_cases(str(data / "cases.jsonl"), [record])
+        out = tmp_path / "eval"
+        capsys.readouterr()
+        rc = main(["eval", "--data-dir", str(data), "--out-dir", str(out), "--policy", "idle"])
+        assert rc == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {
+            "error": "EmptyInput", "message": "expert flowtime is 0, so δFT is undefined"
+        }
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -883,7 +968,7 @@ _REFUSED_WEIGHTS = {
         ("gen-cases", "maps.jsonl", 2, lambda doc: doc.update(width=6.9)),
         ("expert", "cases.jsonl", 3, lambda doc: doc.update(case_id=5)),
         ("train", "cases.jsonl", 3, lambda doc: doc.update(case_id=5)),
-        ("train", "dataset.train.jsonl", 2, lambda doc: doc.update(t=0.9)),
+        ("train", "dataset.train.jsonl", 2, lambda doc: doc["plan"].update(flowtime=0.9)),
         ("gen-cases", "maps.jsonl", 1, lambda doc: doc.update(count=True)),
         ("gen-cases", "maps.jsonl", 1, lambda doc: doc.pop("count")),
         ("train", "dataset.train.jsonl", 1, lambda doc: doc.pop("split")),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -228,25 +229,28 @@ class TestDatasetFile:
         assert a.read_bytes() == b.read_bytes()
 
     def test_label_count_mismatch_rejected(self, tmp_path):
+        # a plan with a path short, so its expansion holds a label fewer than robots
         maps, pool, _ = small_pool()
         ds = expand_samples(pool[:1], maps)
         p = tmp_path / "dataset.train.jsonl"
         save_dataset(str(p), ds)
         lines = p.read_text().splitlines()
         doc = json.loads(lines[1])
-        doc["labels"] = doc["labels"] + [0]
+        doc["plan"]["paths"] = doc["plan"]["paths"][:-1]
         lines[1] = json.dumps(doc)
         p.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=re.escape(f"{p}:2")):
             load_dataset(str(p), maps)
 
     @pytest.mark.parametrize(
         "rule",
         ["goals_short", "position_off_map", "goal_off_map", "position_on_obstacle",
-         "positions_shared", "label_too_large", "label_negative", "label_not_integer",
-         "labels_nested"],
+         "positions_shared", "plan_null", "path_jumps", "path_cell_string", "paths_nested",
+         "flowtime_off"],
     )
     def test_bad_geometry_rejected(self, tmp_path, rule):
+        """A split record is refused at its line; the positions at t = 0 are
+        the starts."""
         maps, pool, _ = small_pool()
         ds = expand_samples(pool[:1], maps)
         p = tmp_path / "dataset.train.jsonl"
@@ -254,27 +258,41 @@ class TestDatasetFile:
         lines = p.read_text().splitlines()
         doc = json.loads(lines[1])
         grid = maps[doc["map_id"]]
+        paths = doc["plan"]["paths"]
         if rule == "goals_short":
             doc["goals"] = doc["goals"][:-1]
         elif rule == "position_off_map":
-            doc["positions"][0] = [-3, 0]
+            doc["starts"][0] = [-3, 0]
         elif rule == "goal_off_map":
             doc["goals"][0] = [grid.width, 0]
         elif rule == "position_on_obstacle":
-            doc["positions"][0] = list(min(grid.obstacles))
+            doc["starts"][0] = list(min(grid.obstacles))
         elif rule == "positions_shared":
-            doc["positions"][1] = doc["positions"][0]
-        elif rule == "label_too_large":
-            doc["labels"][0] = 5
-        elif rule == "label_negative":
-            doc["labels"][0] = -1
-        elif rule == "label_not_integer":
-            doc["labels"][0] = "x"
+            doc["starts"][1] = doc["starts"][0]
+        elif rule == "plan_null":
+            doc["plan"] = None
+        elif rule == "path_jumps":
+            paths[0][1:1] = [[grid.width - 1 - paths[0][0][0], grid.height - 1]]
+        elif rule == "path_cell_string":
+            paths[0][0] = "x"
+        elif rule == "paths_nested":
+            paths[0] = [paths[0]]
         else:
-            doc["labels"] = [[a] for a in doc["labels"]]
+            doc["plan"]["flowtime"] += 1
         lines[1] = json.dumps(doc)
         p.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=re.escape(f"{p}:2")):
+            load_dataset(str(p), maps)
+
+    def test_a_colliding_plan_is_refused_at_its_line(self, tmp_path):
+        # each path is legal on its own; only the plan check sees the collision
+        maps = {"m0": GridMap(3, 1, frozenset())}
+        case = Case("m0", starts=((0, 0), (2, 0)), goals=((1, 0), (0, 0)))
+        paths = (((0, 0), (1, 0)), ((2, 0), (1, 0), (0, 0)))
+        record = CaseRecord("c0", case, Plan(paths=paths, flowtime=3, makespan=2))
+        p = tmp_path / "dataset.train.jsonl"
+        save_dataset(str(p), expand_samples([record], maps))
+        with pytest.raises(ParseError, match="conflict.*" + re.escape(f"{p}:2")):
             load_dataset(str(p), maps)
 
     def test_header_radii_carried_on_the_dataset(self, tmp_path):
@@ -344,14 +362,12 @@ class TestDatasetFile:
                 assert not (ids[i] & ids[j])
 
 
-    def test_interleaved_cases_and_team_sizes_load_in_file_order(self, tmp_path):
+    def test_team_sizes_load_in_file_order(self, tmp_path):
         maps, pool, _ = small_pool()
         map_id = pool[0].case.map_id
         trio = generate_case(maps[map_id], 3, seed=2, map_id=map_id)
         extra = CaseRecord(case_id="trio", case=trio, plan=cbs_solve(maps[map_id], trio, 30.0))
-        ds = expand_samples([*pool, extra], maps, fov_radius=3, comm_radius=3.0)
-        order = np.random.default_rng(0).permutation(len(ds))
-        ds.samples = [ds.samples[i] for i in order]
+        ds = expand_samples([pool[0], extra, *pool[1:]], maps, fov_radius=3, comm_radius=3.0)
         p = tmp_path / "dataset.train.jsonl"
         save_dataset(str(p), ds)
         back = load_dataset(str(p), maps)
@@ -364,14 +380,34 @@ class TestDatasetFile:
                 assert built.shape == want.shape and built.tobytes() == want.tobytes()
             assert np.array_equal(a.labels, b.labels)
 
-    def test_a_repeated_sample_is_refused_at_its_line(self, tmp_path):
+    @pytest.mark.parametrize(
+        "rule", ["reversed", "repeated", "case_repeated", "truncated", "interleaved",
+                 "goal_moved", "label_changed"]
+    )
+    def test_samples_not_whole_trajectories_write_no_file(self, tmp_path, rule):
         maps, pool, _ = small_pool()
-        ds = expand_samples(pool[:1], maps)
-        ds.samples.append(ds.samples[0])
+        ds = expand_samples(pool[:2], maps)
+        samples, first = ds.samples, pool[0].plan.makespan
+        if rule == "reversed":
+            samples.reverse()
+        elif rule == "repeated":
+            samples.append(samples[0])
+        elif rule == "case_repeated":
+            samples.extend(samples[:first])
+        elif rule == "truncated":
+            del samples[first - 1]
+        elif rule == "interleaved":
+            samples[first - 1], samples[first] = samples[first], samples[first - 1]
+        elif rule == "goal_moved":
+            samples[0] = dataclasses.replace(samples[0], goals=samples[0].goals[::-1])
+        else:
+            labels = samples[0].labels.copy()
+            labels[0] = (labels[0] + 1) % 5
+            samples[0] = dataclasses.replace(samples[0], labels=labels)
         p = tmp_path / "dataset.train.jsonl"
-        save_dataset(str(p), ds)
-        with pytest.raises(ParseError, match=re.escape(f"{p}:{len(ds) + 1}")):
-            load_dataset(str(p), maps)
+        with pytest.raises(ValueError, match="whole trajectory|one run"):
+            save_dataset(str(p), ds)
+        assert not p.exists()
 
 
 def count_builder_calls(monkeypatch, module) -> dict:
@@ -400,7 +436,6 @@ class TestOneBuilderCallPerCase:
     def test_load_dataset(self, tmp_path, monkeypatch):
         maps, pool, _ = small_pool()
         ds = expand_samples(pool, maps)
-        ds.samples.reverse()
         p = tmp_path / "dataset.train.jsonl"
         save_dataset(str(p), ds)
         calls = count_builder_calls(monkeypatch, training)
@@ -449,7 +484,9 @@ class TestWeightsFile:
 
 class TestEarlierSpelling:
     """Files written with 17-significant-digit reals and the since-dropped
-    dense, timed_out and runtime_s keys still load to the same objects."""
+    dense, timed_out and runtime_s keys still load to the same objects; a
+    dataset split of per-timestep samples is refused at its first record,
+    so it is rebuilt, not read two ways."""
 
     SCHEMA = '{"schema":"mapfgnn-files-v1",'
     MAPS = SCHEMA + (
@@ -489,14 +526,9 @@ class TestEarlierSpelling:
         plan = Plan(paths=paths, flowtime=4, makespan=2)
         expected = CaseRecord(case_id="m0000/c0000", case=case, plan=plan)
         assert load_cases(str(tmp_path / "CASES"), maps) == [expected]
-        back = load_dataset(str(tmp_path / "DATASET"), maps)
-        fresh = expand_samples([expected], maps, split="test", fov_radius=1)
-        assert back.split == "test" and len(back) == len(fresh) == 2
-        for a, b in zip(fresh.samples, back.samples):
-            assert (a.case_id, a.t, a.positions, a.goals) == (b.case_id, b.t, b.positions, b.goals)
-            assert np.array_equal(a.obs, b.obs)
-            assert np.array_equal(a.gso, b.gso)
-            assert np.array_equal(a.labels, b.labels)
+        dataset = tmp_path / "DATASET"
+        with pytest.raises(ParseError, match="missing field 'starts'.*" + re.escape(f"{dataset}:2")):
+            load_dataset(str(dataset), maps)
         _, _, rows = read_csv(str(tmp_path / "CSV"), "report")
         assert float(rows[0]["alpha"]) == 1 / 3
         assert float(rows[0]["delta_ft"]) == 1 / 6

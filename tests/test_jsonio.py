@@ -216,6 +216,55 @@ def test_cases_and_dataset_round_trip(tmp_path, grid, robots, seed, split, fov, 
     assert (back.split, back.fov_radius, back.comm_radius) == (split, fov, comm)
 
 
+@st.composite
+def solved_pools(draw):
+    """A map and up to three solved cases on it. In a repair-style case, as
+    the online expert makes, some robots start on their goals."""
+    grid = draw(grid_maps())
+    records = []
+    for k in range(draw(st.integers(1, 3))):
+        try:
+            case = generate_case(grid, draw(st.integers(1, 3)), seed=draw(st.integers(0, 2**32)),
+                                 map_id="m0")
+        except InfeasibleCase:
+            continue
+        parked = draw(st.lists(st.booleans(), min_size=case.num_robots,
+                               max_size=case.num_robots))
+        starts = tuple(g if p else s for s, g, p in zip(case.starts, case.goals, parked))
+        if len(set(starts)) == len(starts):
+            case = Case("m0", starts, case.goals)
+        try:
+            records.append(CaseRecord(f"m0/c{k}", case, cbs_solve(grid, case, timeout_s=2.0)))
+        except (PlanInfeasible, SolverTimeout):
+            pass
+    assume(records)
+    return {"m0": grid}, records
+
+
+@SETTINGS
+@given(
+    drawn=solved_pools(),
+    fov=st.integers(1, 4),
+    comm=st.floats(0.1, 10.0),
+)
+def test_a_split_reexpands_to_the_samples_it_was_saved_from(tmp_path, drawn, fov, comm):
+    maps, pool = drawn
+    ds = expand_samples(pool, maps, split="train", fov_radius=fov, comm_radius=comm)
+    save_dataset(str(tmp_path / "split.jsonl"), ds)
+    back = load_dataset(str(tmp_path / "split.jsonl"), maps)
+    assert [(s.case_id, s.t) for s in back.samples] == [(s.case_id, s.t) for s in ds.samples]
+    for a, b in zip(ds.samples, back.samples):
+        for name in ("obs", "gso", "labels"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+    # the split holds the solver's own records: a robot parked on its goal keeps [goal]
+    moving = [rec for rec in pool if rec.plan.makespan > 0]
+    save_cases(str(tmp_path / "cases.jsonl"), moving)
+    lines = [(tmp_path / name).read_text().splitlines()[1:] for name in ("split.jsonl",
+                                                                         "cases.jsonl")]
+    assert lines[0] == lines[1]
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -298,6 +347,14 @@ def _duplicate_case(docs):
     docs[0]["count"] = 2
 
 
+def _collide(docs):
+    """Robot 1 walks onto robot 0's start while robot 0 still waits there:
+    each path is legal on its own, so only the plan check sees it."""
+    wait = [[0, 0]] * 6 + [[0, y] for y in range(1, 6)]
+    detour = [[x, 0] for x in (5, 4, 3, 2, 1, 0, 1, 2, 3, 4, 5)] + [[5, y] for y in range(1, 6)]
+    docs[1]["plan"] = {"paths": [wait, detour], "flowtime": 25, "makespan": 15}
+
+
 # a refused weights entry is named at the start of the message
 NAMED_ENTRY = {
     "weights-entry-list": "mlp.head.bias",
@@ -321,8 +378,10 @@ REFUSED = {
     "case-flowtime-real": ("cases", lambda d: d[1]["plan"].update(flowtime=2.5), 2),
     "case-id-int": ("cases", lambda d: d[1].update(case_id=5), 2),
     "case-id-duplicate": ("cases", _duplicate_case, 3),
-    "sample-map-id-dict": ("dataset", lambda d: d[2].update(map_id={"m": 0}), 3),
-    "sample-t-real": ("dataset", lambda d: d[1].update(t=0.9), 2),
+    "record-map-id-dict": ("dataset", lambda d: d[1].update(map_id={"m": 0}), 2),
+    "record-makespan-real": ("dataset", lambda d: d[1]["plan"].update(makespan=0.9), 2),
+    "record-plan-null": ("dataset", lambda d: d[1].update(plan=None), 2),
+    "record-paths-collide": ("dataset", _collide, 2),
     "dataset-split-int": ("dataset", lambda d: d[0].update(split=1), 1),
     "weight-string": ("weights", lambda d: _weights_entry(d).update(float64le="1.5"), 1),
     "weight-bool": ("weights", lambda d: _weights_entry(d).update(float64le=True), 1),
