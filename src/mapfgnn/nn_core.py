@@ -1,9 +1,18 @@
-"""Minimal differentiable numeric core on float64 numpy.
+"""Minimal differentiable numeric core on numpy.
 
 The network architecture is fixed, so there is no general autodiff tape:
-each layer caches what its hand-derived backward pass needs. All layers
-operate on 64-bit reals; backward passes are exact gradients of forward,
-which gradient_check verifies against central finite differences.
+each layer caches what its hand-derived backward pass needs. Backward
+passes are exact gradients of forward, which gradient_check verifies
+against central finite differences in float64.
+
+Parameters, their gradients and the BatchNorm running statistics are
+float64 (the master weights the optimizer updates and the weights file
+holds). A CNN layer computes in its input's dtype: it casts its parameters
+to that dtype for the pass and adds its parameter gradients into the
+float64 gradient arrays. Integer input (the uint8 observations) enters
+Conv2d as float32, so the policy's CNN runs in float32 and float64 input
+runs float64 arithmetic throughout. Linear and GraphFilter take any float
+input and compute in float64 with their float64 parameters.
 """
 
 from __future__ import annotations
@@ -132,12 +141,17 @@ class Conv2d:
     channels-last memory; an input or gradient in another layout is copied
     once (im2col's padding copy takes any input as it is).
 
+    Both paths compute in the input's dtype, float32 for integer input: the
+    weight and bias are cast to it for the pass, and the unrolled matrix is
+    placed in it. Backward computes in the gradient's dtype and adds into the
+    float64 parameter gradients.
+
     An eval forward on a small map other than 1x1 keeps the unrolled matrix
     with a copy of the weight it came from, and reuses it while the weight
-    still equals that copy. Every weight update (optimizer step, weight
-    load, finite-difference probe) writes the weight in place, so the
-    comparison sees it and nothing needs invalidating. A train forward
-    always rebuilds.
+    still equals that copy and the input asks for the matrix's dtype. Every
+    weight update (optimizer step, weight load, finite-difference probe)
+    writes the weight in place, so the comparison sees it and nothing needs
+    invalidating. A train forward always rebuilds.
 
     With needs_input_grad False (a layer whose input is data rather than an
     activation), backward accumulates the parameter gradients only and
@@ -152,7 +166,7 @@ class Conv2d:
         self.gbias = np.zeros_like(self.bias)
         self.needs_input_grad = True
         self._cache = None
-        # (h, w, copy of the weight, unrolled matrix built from it)
+        # (h, w, copy of the weight, unrolled matrix built from it in its dtype)
         self._memo = None
 
     def parameters(self):
@@ -168,9 +182,11 @@ class Conv2d:
             )
         b, c, h, w = x.shape
         c_out = self.weight.shape[0]
+        # a float input's own dtype; integer input (observation windows) is float32
+        dtype = x.dtype if x.dtype.kind == "f" else np.dtype(np.float32)
         if h * w < 9 or (train and h * w <= 16):
-            unrolled = self._unrolled_weight(h, w, memoise=not train)
-            rows = _channels_last(x).reshape(b, h * w * c)
+            unrolled = self._unrolled_weight(h, w, dtype, memoise=not train)
+            rows = _channels_last(x).reshape(b, h * w * c).astype(dtype, copy=False)
             # numpy sends a one-row product to gemv, which rounds differently
             # from gemm; two copies of the row keep it on gemm, so a robot's
             # features do not depend on the batch it is encoded in
@@ -179,28 +195,31 @@ class Conv2d:
             self._cache = (rows, x.shape, unrolled)
         else:
             # channels-last padding: each cell's window is already (c, 3, 3) in order
-            padded = np.zeros((b, h + 2, w + 2, c))
+            padded = np.zeros((b, h + 2, w + 2, c), dtype)
             padded[:, 1:-1, 1:-1] = x.transpose(0, 2, 3, 1)
             cols = sliding_window_view(padded, (3, 3), axis=(1, 2)).reshape(b, h * w, c * 9)
-            out = cols @ self.weight.reshape(c_out, c * 9).T
+            out = cols @ self.weight.reshape(c_out, c * 9).T.astype(dtype, copy=False)
             self._cache = (cols, x.shape, None)
         out = out.reshape(b, h, w, c_out)
-        out += self.bias
+        out += self.bias.astype(dtype, copy=False)
         return out.transpose(0, 3, 1, 2)
 
-    def _unrolled_weight(self, h: int, w: int, memoise: bool) -> np.ndarray:
+    def _unrolled_weight(self, h: int, w: int, dtype, memoise: bool) -> np.ndarray:
         # every result is contiguous, so that every batch size takes the same
-        # gemm kernel
+        # gemm kernel; placing and slicing copy the weight's values, so a
+        # float32 matrix is the float64 one rounded entry by entry
         if h * w == 1:
-            return np.ascontiguousarray(self.weight[:, :, 1, 1].T)
+            return np.ascontiguousarray(self.weight[:, :, 1, 1].T, dtype=dtype)
         if memoise and self._memo is not None:
             mh, mw, source, unrolled = self._memo
-            if (mh, mw) == (h, w) and np.array_equal(source, self.weight):
+            if (mh, mw, unrolled.dtype) == (h, w, dtype) and np.array_equal(
+                source, self.weight
+            ):
                 return unrolled
         c_out, c = self.weight.shape[:2]
         cell_in, cell_out, tap = _landing(h, w)
         # (yi, xi), ci, (yo, xo), co: already rows (yi, xi, ci), columns (yo, xo, co)
-        unrolled = np.zeros((h * w, c, h * w, c_out))
+        unrolled = np.zeros((h * w, c, h * w, c_out), dtype)
         unrolled[cell_in, :, cell_out, :] = self.weight.reshape(c_out, c, 9).T[tap]
         unrolled = unrolled.reshape(h * w * c, h * w * c_out)
         if memoise:
@@ -229,8 +248,9 @@ class Conv2d:
         )
         if not self.needs_input_grad:
             return None
-        gcols = (g @ self.weight.reshape(c_out, c * 9)).reshape(b, h, w, c, 3, 3)
-        gpad = np.zeros((b, h + 2, w + 2, c))
+        weight = self.weight.reshape(c_out, c * 9).astype(g.dtype, copy=False)
+        gcols = (g @ weight).reshape(b, h, w, c, 3, 3)
+        gpad = np.zeros((b, h + 2, w + 2, c), g.dtype)
         for di in range(3):
             for dj in range(3):
                 gpad[:, di : di + h, dj : dj + w] += gcols[..., di, dj]
@@ -241,15 +261,16 @@ def _per_channel(x: np.ndarray):
     """BatchNorm2d's element-wise view of a channels-last x: (rows, spread, shaped).
 
     rows is x as (b, h*w*c) rows in memory order, spread(v) lays a
-    per-channel vector out along such a row (the whole vector h*w times
-    over), and shaped(r) turns rows of that layout back into a (b, c, h, w)
-    view. A pass then runs one long inner loop instead of broadcasting a
-    (c,) vector over short rows of c.
+    per-channel vector out along such a row in x's dtype (the whole vector
+    h*w times over, so float64 parameters and statistics meet float32
+    activations as float32), and shaped(r) turns rows of that layout back
+    into a (b, c, h, w) view. A pass then runs one long inner loop instead
+    of broadcasting a (c,) vector over short rows of c.
     """
     b, c, h, w = x.shape
     return (
         x.transpose(0, 2, 3, 1).reshape(b, -1),
-        lambda v: np.repeat(v[None], h * w, axis=0).ravel(),
+        lambda v: np.repeat(v[None].astype(x.dtype, copy=False), h * w, axis=0).ravel(),
         lambda r: r.reshape(b, h, w, c).transpose(0, 3, 1, 2),
     )
 
@@ -264,6 +285,11 @@ class BatchNorm2d:
     backward builds the input gradient in one buffer. The element-wise
     passes run over long rows (see _per_channel). Eval mode is element-wise:
     ((x - running_mean) * inv_std) * gamma + beta.
+
+    The element-wise passes run in the input's dtype. The batch mean and
+    variance accumulate in float64, the running statistics' dtype: a
+    float32 sum over a 640-row batch's 51,840 cells of a 9x9 map can lose
+    1e-4 of a channel mean that is small beside its values.
     """
 
     def __init__(self, channels: int):
@@ -289,14 +315,14 @@ class BatchNorm2d:
         x = _channels_last(x).transpose(0, 3, 1, 2)
         if train:
             m = x.size // x.shape[1]
-            mean = np.einsum("bchw->c", x) / m
+            mean = np.einsum("bchw->c", x, dtype=np.float64) / m
         else:
             mean = self.running_mean
         rows, spread, shaped = _per_channel(x)
         xhat = rows - spread(mean)
         if train:
             centred = shaped(xhat)
-            var = np.einsum("bchw,bchw->c", centred, centred) / m
+            var = np.einsum("bchw,bchw->c", centred, centred, dtype=np.float64) / m
             unbiased = var * m / (m - 1) if m > 1 else var
             self.running_mean[...] = (1 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean
             self.running_var[...] = (1 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * unbiased
@@ -408,7 +434,7 @@ class MaxPool2d:
             raise RuntimeError("maxpool2d backward needs a train-mode forward first")
         idx, (b, c, h, w) = self._cache
         ho, wo = idx.shape[1:3]
-        gin = np.zeros((b, h, w, c))
+        gin = np.zeros((b, h, w, c), gout.dtype)
         # splitting the row and column axes of the windowed part is a view;
         # an odd trailing row or column keeps its zeros
         windows = gin[:, : 2 * ho, : 2 * wo].reshape(b, ho, 2, wo, 2, c)

@@ -136,9 +136,13 @@ class PolicyNetwork:
         self.store.add_layer("mlp.head", self.head)
 
     def encode(self, obs: np.ndarray, train: bool = False) -> np.ndarray:
-        """CNN features, shape (batch, features), from (batch, 3, W, W) input;
-        uint8 windows give their float64 copy's bits, as the first conv's
-        im2col (W x W is 81 cells or more) copies them into float64."""
+        """CNN features, shape (batch, features), from (batch, 3, W, W) input.
+
+        The CNN computes in its input's dtype against the float64 weights
+        (see nn_core): uint8 windows, as team_observations builds them, run
+        in float32 and give their float32 copy's bits, and float64 input
+        runs float64 arithmetic. The head takes either and computes in
+        float64."""
         if obs.ndim != 4 or obs.shape[1:] != (3, self.arch.window, self.arch.window):
             raise ShapeMismatch(
                 f"expected (B,3,{self.arch.window},{self.arch.window}), got {obs.shape}"

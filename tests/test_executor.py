@@ -181,10 +181,12 @@ class TestRollout:
         assert a == b
 
 
-def rebuilt_unrolled_weight(conv, h, w, memoise):
+def rebuilt_unrolled_weight(conv, h, w, dtype, memoise):
     """Conv2d's small-map weight rebuilt through the tap matrix on every
     call, ignoring memoise: the arithmetic before the eval memo and the 1x1
-    slice, with rows ordered (yi, xi, ci) and columns (yo, xo, co)."""
+    slice, with rows ordered (yi, xi, ci) and columns (yo, xo, co), in the
+    dtype the layer computes in (each entry is one weight, so the cast of
+    the float64 matrix rounds each weight once)."""
     c_out, c = conv.weight.shape[:2]
     yi, xi, yo, xo = np.indices((h, w, h, w)).reshape(4, -1)
     ky, kx = yi - yo + 1, xi - xo + 1
@@ -193,7 +195,7 @@ def rebuilt_unrolled_weight(conv, h, w, memoise):
     taps[ky[pairs] * 3 + kx[pairs], pairs] = 1.0
     placed = conv.weight.reshape(c_out, c, 9) @ taps
     placed = placed.reshape(c_out, c, h, w, h, w).transpose(2, 3, 1, 4, 5, 0)
-    return np.ascontiguousarray(placed.reshape(h * w * c, h * w * c_out))
+    return np.ascontiguousarray(placed.reshape(h * w * c, h * w * c_out), dtype=dtype)
 
 
 class ScalarDrawPolicy:

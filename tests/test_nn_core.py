@@ -835,7 +835,8 @@ class TestPoolBeforeRelu:
             positions = [tuple(p) for p in rng.integers(0, 20, size=(n, 2))]
             batch.append(training.Sample(
                 case_id="c", t=0,
-                obs=(rng.random((n, 3, 9, 9)) < 0.3).astype(np.uint8),
+                # float64 on both sides: the reference layers compute in float64
+                obs=(rng.random((n, 3, 9, 9)) < 0.3).astype(np.float64),
                 gso=build_gso(positions, arch.comm_radius).matrix,
                 labels=rng.integers(0, 5, size=n),
             ))
@@ -960,6 +961,30 @@ class TestOneLayout:
         pairs = zip(layers["nchw"].state_arrays(), layers["channels_last"].state_arrays())
         for (_, p), (_, q) in pairs:
             assert_bytes_equal(p, q)
+
+
+class TestFloat32Layers:
+    """A CNN layer handed float32 computes in float32 against its float64
+    parameters: its output and input gradient are float32 and agree with
+    the float64 pass on the same values to float32 rounding, while its
+    parameters, gradients and running statistics stay float64."""
+
+    @pytest.mark.parametrize("name", list(TestOneLayout.LAYERS))
+    def test_float32_in_float32_out(self, name):
+        make, size, train = TestOneLayout.LAYERS[name]
+        rng = np.random.default_rng(32)
+        x = rng.normal(size=(3, 3) + size).astype(np.float32)
+        layer = make(rng)
+        wide = copy.deepcopy(layer)
+        out = layer.forward(x, train)
+        gout = rng.normal(size=out.shape).astype(np.float32)
+        gin = layer.backward(gout)
+        assert out.dtype == gin.dtype == np.float32
+        assert_close(out, wide.forward(x.astype(np.float64), train), tol=1e-5)
+        assert_close(gin, wide.backward(gout.astype(np.float64)), tol=1e-5)
+        arrays = [a for _, p, g in layer.parameters() for a in (p, g)]
+        arrays += [a for _, a in layer.state_arrays()]
+        assert all(a.dtype == np.float64 for a in arrays)
 
 
 class TestLinear:

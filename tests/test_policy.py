@@ -48,20 +48,25 @@ class TestArchitecture:
 
     def test_eval_rows_encode_independently(self):
         # a robot's features must not depend on the batch it is encoded in,
-        # bit for bit, one-row batches (which BLAS may treat apart) included
+        # bit for bit, one-row batches (which BLAS may treat apart) included,
+        # in float64 and in the float32 arithmetic uint8 observations take
         rng = np.random.default_rng(3)
-        obs = random_obs(rng, 16)
-        for arch in (TINY, PolicyArch()):
-            net = PolicyNetwork(arch, seed=0)
-            full = net.encode(obs)
-            for b in range(1, 17):
-                assert np.array_equal(net.encode(obs[:b]), full[:b]), (arch, b)
+        obs = random_obs(rng, 640)
+        for dtype in (np.float64, np.uint8):
+            for arch in (TINY, PolicyArch()):
+                net = PolicyNetwork(arch, seed=0)
+                x = obs.astype(dtype)
+                full = net.encode(x)
+                for b in range(1, 17):
+                    assert np.array_equal(net.encode(x[:b]), full[:b]), (dtype, arch, b)
+                assert np.array_equal(net.encode(x[-16:]), full[-16:]), (dtype, arch)
 
     @pytest.mark.parametrize("rows", [1, 10, 640])
-    def test_uint8_observations_give_the_bits_of_their_float64_copy(self, rows):
-        # team_observations builds uint8 windows, and no caller widens them
+    def test_uint8_observations_give_the_bits_of_their_float32_copy(self, rows):
+        # team_observations builds uint8 windows, no caller widens them, and
+        # the first conv takes them as float32
         obs = random_obs(np.random.default_rng(rows), rows).astype(np.uint8)
-        wide = obs.astype(np.float64)
+        wide = obs.astype(np.float32)
         for train in (True, False):
             nets = PolicyNetwork(seed=0), PolicyNetwork(seed=0)
             feats = [net.encode(x, train) for net, x in zip(nets, (obs, wide))]

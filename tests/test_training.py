@@ -1,4 +1,5 @@
 import base64
+import copy
 import math
 import struct
 from dataclasses import replace
@@ -17,6 +18,7 @@ from mapfgnn.policy import PolicyArch, PolicyNetwork
 from mapfgnn.training import (
     AdamState,
     Dataset,
+    Sample,
     TrainConfig,
     _batch_pass,
     adam_step,
@@ -452,7 +454,7 @@ class TestMixedTeamSizes:
         net = PolicyNetwork(TINY, seed=5)
         loss_sum, correct, rows = 0.0, 0, 0
         for s in batch:
-            logits = net.forward(s.obs.astype(np.float64), s.gso)
+            logits = net.forward(s.obs, s.gso)
             loss_sum -= log_softmax(logits)[np.arange(s.num_robots), s.labels].sum()
             correct += int((logits.argmax(axis=1) == s.labels).sum())
             rows += s.num_robots
@@ -467,7 +469,7 @@ class TestMixedTeamSizes:
         rows = sum(s.num_robots for s in batch)
         ref = PolicyNetwork(TINY, seed=6)
         ref.store.zero_grads()
-        feats = ref.encode(np.concatenate([s.obs for s in batch]).astype(np.float64), True)
+        feats = ref.encode(np.concatenate([s.obs for s in batch]), True)
         gfeat = np.empty_like(feats)
         loss_sum, offset = 0.0, 0
         for s in batch:
@@ -487,6 +489,139 @@ class TestMixedTeamSizes:
         assert got_loss == pytest.approx(loss_sum, rel=1e-12)
         for name, grad in ref.store.grads.items():
             assert np.allclose(net.store.grads[name], grad, rtol=1e-12, atol=1e-12), name
+
+
+def widened(batch):
+    """The samples of batch with float64 copies of their uint8 observations."""
+    return [replace(s, obs=s.obs.astype(np.float64)) for s in batch]
+
+
+def relative_gap(got, want):
+    """Largest |got - want| over the largest |want|."""
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+def random_team_batch(rng, teams=160, n=4):
+    """640 rows of random 4-robot teams: uint8 windows, spread positions."""
+    return [
+        Sample(
+            "c", 0,
+            obs=(rng.random((n, 3, 9, 9)) < 0.3).astype(np.uint8),
+            gso=build_gso([tuple(p) for p in rng.integers(0, 20, size=(n, 2))], 5.0).matrix,
+            labels=rng.integers(0, 5, size=n),
+        )
+        for _ in range(teams)
+    ]
+
+
+class TestMixedPrecision:
+    """uint8 observations run the CNN in float32 against float64 master
+    weights; a float64 copy of them runs float64 arithmetic throughout.
+
+    The bounds are set from the largest gaps measured on paper-arch weights
+    trained 30 epochs on criterion 07's split (training accuracy 1.0), over
+    three random and three split batches of 640 rows: logits 7.5e-7 and
+    features 7.9e-7 of their largest float64 entry, BatchNorm running
+    statistics 1.9e-8 of their largest entry after one train pass (1.3e-5 on
+    this test's split batch when they accumulate in float32). The parameter
+    gradients, as one vector, agreed to 1.2e-5 of its norm in five batches
+    and to 4.2e-3 in the sixth, where one of 327,680 ReLU inputs of the
+    second conv block fell on the other side of zero in float32 and the
+    gradient took the other route; forward outputs are continuous there,
+    gradients are not.
+    """
+
+    LOGIT_BOUND = 1e-5
+    STATE_BOUND = 1e-6
+    GRAD_BOUND = 2e-2
+
+    @pytest.fixture(scope="class")
+    def trained(self):
+        """A paper-arch network after three epochs on a built 4-robot split,
+        and two 640-row batches: random teams and that split's samples."""
+        maps, records = solved_pool(num_cases=30, robots=4, seed=25, size=10)
+        ds = dataset_from(records, maps)
+        net = PolicyNetwork(PolicyArch(), seed=25)
+        config = TrainConfig(seed=25)
+        adam = AdamState(net.store)
+        for epoch in range(3):
+            train_epoch(net, adam, ds, config, epoch)
+        rng = np.random.default_rng(25)
+        split = [ds.samples[i] for i in rng.permutation(len(ds.samples))[:160]]
+        return net, {"random": random_team_batch(rng), "split": split}
+
+    @pytest.mark.parametrize("source", ["random", "split"])
+    def test_logits_agree(self, trained, source):
+        net, batches = trained
+        batch = batches[source]
+        gso = np.stack([s.gso for s in batch])
+        feats, logits = {}, {}
+        for side, samples in (("uint8", batch), ("float64", widened(batch))):
+            feats[side] = net.encode(np.concatenate([s.obs for s in samples]))
+            logits[side] = net.head_forward(feats[side].reshape(len(batch), 4, -1), gso)
+        assert feats["uint8"].dtype == np.float32 and feats["float64"].dtype == np.float64
+        assert relative_gap(feats["uint8"], feats["float64"]) <= self.LOGIT_BOUND
+        assert relative_gap(logits["uint8"], logits["float64"]) <= self.LOGIT_BOUND
+
+    @pytest.mark.parametrize("source", ["random", "split"])
+    def test_a_train_pass_agrees(self, trained, source):
+        net, batches = trained
+        batch = batches[source]
+        nets = {}
+        for side, samples in (("uint8", batch), ("float64", widened(batch))):
+            model = copy.deepcopy(net)
+            model.store.zero_grads()
+            _batch_pass(model, samples, train=True)
+            nets[side] = model.store
+        got, want = nets["uint8"], nets["float64"]
+        gap = np.sqrt(sum(((got.grads[k] - g) ** 2).sum() for k, g in want.grads.items()))
+        norm = np.sqrt(sum((g**2).sum() for g in want.grads.values()))
+        assert gap <= self.GRAD_BOUND * norm
+        for name, value in want.state.items():
+            assert relative_gap(got.state[name], value) <= self.STATE_BOUND, name
+
+    def test_float32_values_float64_storage(self, trained):
+        """Every CNN activation and input gradient of a uint8 pass is float32;
+        every parameter, gradient, running statistic and Adam moment stays
+        float64. Train mode at 640 rows, eval mode at 1 and 10."""
+        net, batches = trained
+        net = copy.deepcopy(net)
+        seen = []
+        for layer in net.cnn:
+            for method in ("forward", "backward"):
+                call = getattr(layer, method)
+
+                def spy(x, *args, _call=call, _where=(type(layer).__name__, method)):
+                    out = _call(x, *args)
+                    seen.append((_where, x.dtype, None if out is None else out.dtype))
+                    return out
+
+                setattr(layer, method, spy)
+        adam = AdamState(net.store)
+        net.store.zero_grads()
+        _batch_pass(net, batches["split"], train=True)
+        adam_step(net.store, adam, 1e-3, TrainConfig())
+        for rows in (1, 10):
+            net.encode(np.concatenate([s.obs for s in batches["random"]])[:rows])
+        assert len(seen) == len(net.cnn) * 4
+        for (layer, method), dtype_in, dtype_out in seen:
+            first_conv_input = layer == "Conv2d" and method == "forward" and dtype_in == np.uint8
+            assert first_conv_input or dtype_in == np.float32, (layer, method)
+            assert dtype_out in (np.float32, None), (layer, method)
+        assert sum(dtype_in == np.uint8 for _, dtype_in, _ in seen) == 3
+        arrays = [*net.store.params.values(), *net.store.grads.values(),
+                  *net.store.state.values(), *adam.m.values(), *adam.v.values()]
+        assert all(a.dtype == np.float64 for a in arrays)
+
+    def test_a_float64_pass_after_a_float32_one_gives_float64_bits(self, trained):
+        # the eval memo of the 2x2 convs holds the matrix a float32 pass built
+        weights = trained[0].to_jsonable()
+        net, fresh = (PolicyNetwork.from_jsonable(weights) for _ in range(2))
+        obs = np.concatenate([s.obs for s in trained[1]["random"]])[:10]
+        net.encode(obs)
+        wide = obs.astype(np.float64)
+        assert net.encode(wide).tobytes() == fresh.encode(wide).tobytes()
+        assert net.encode(obs).tobytes() == fresh.encode(obs).tobytes()
 
 
 class TestOnlineExpert:
