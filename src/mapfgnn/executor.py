@@ -122,6 +122,11 @@ class NetworkPolicy:
     net.arch.comm_radius; a comm_radius passed that differs from it raises
     ValueError. Each step draws the whole team's actions in one
     select_actions call.
+
+    It freezes net.store, so the net's layers keep what their eval forward
+    derives from the weights between steps; the net itself is used, not a
+    copy. A later train-mode encode or weights load thaws it, and any other
+    write to its weights raises ValueError.
     """
 
     def __init__(
@@ -137,6 +142,7 @@ class NetworkPolicy:
                 f"comm_radius={comm_radius}, but the weights were trained "
                 f"with {net.arch.comm_radius}"
             )
+        net.store.freeze()
         self.net = net
         self.mode = mode
 

@@ -12,7 +12,9 @@ to that dtype for the pass and adds its parameter gradients into the
 float64 gradient arrays. Integer input (the uint8 observations) enters
 Conv2d as float32, so the policy's CNN runs in float32 and float64 input
 runs float64 arithmetic throughout. Linear and GraphFilter take any float
-input and compute in float64 with their float64 parameters.
+input and compute in float64 with their float64 parameters. A frozen
+ParamStore lets Conv2d and BatchNorm2d keep those casts and the operands
+derived from them between calls (see ParamStore).
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import math
 from collections import OrderedDict
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NonFiniteGradient, ShapeMismatch
 from .jsonio import encode_arrays, read_arrays
@@ -43,12 +44,22 @@ class ParamStore:
     propagate; nothing here may rebind an array. Its JSON form is the
     parameter and state arrays in jsonio.encode_arrays's entries, which hold
     each array's exact bits.
+
+    freeze makes every parameter and state array read-only; while a layer's
+    arrays are read-only it keeps the operands its forward derives from them
+    (see _Kept) instead of rebuilding them per call. Any write to a frozen
+    array raises numpy's read-only ValueError, so a kept operand cannot go
+    stale. thaw makes the arrays writable again and drops every kept
+    operand; assign (a weights load) thaws first. Gradients are never
+    frozen.
     """
 
     def __init__(self):
         self.params: OrderedDict[str, np.ndarray] = OrderedDict()
         self.grads: OrderedDict[str, np.ndarray] = OrderedDict()
         self.state: OrderedDict[str, np.ndarray] = OrderedDict()
+        # the _Kept of every layer whose forward derives operands from its arrays
+        self.kept: list[_Kept] = []
 
     def add_layer(self, prefix: str, layer) -> None:
         for name, param, grad in layer.parameters():
@@ -59,6 +70,18 @@ class ParamStore:
             self.grads[key] = grad
         for name, arr in layer.state_arrays():
             self.state[f"{prefix}.{name}"] = arr
+        if hasattr(layer, "kept"):
+            self.kept.append(layer.kept)
+
+    def freeze(self) -> None:
+        for arr in (*self.params.values(), *self.state.values()):
+            arr.flags.writeable = False
+
+    def thaw(self) -> None:
+        for arr in (*self.params.values(), *self.state.values()):
+            arr.flags.writeable = True
+        for kept in self.kept:
+            kept.clear()
 
     def zero_grads(self) -> None:
         for g in self.grads.values():
@@ -83,10 +106,43 @@ class ParamStore:
         self.assign(read_arrays(doc, self.shapes()))
 
     def assign(self, values: dict) -> None:
-        """Write each named array of values (as read_arrays returns them) in place."""
+        """Thaw, then write each named array of values (as read_arrays
+        returns them) in place."""
+        self.thaw()
         arrays = {**self.params, **self.state}
         for name, value in values.items():
             arrays[name][...] = value
+
+
+class _Kept:
+    """Operands a layer's forward derives from its parameter and state
+    arrays (casts, placed matrices, spread vectors), kept per key while
+    every one of those arrays is read-only.
+
+    While any source array is writable, get builds the operands afresh and
+    keeps nothing. Kept operands are read-only and shared between calls.
+    ParamStore.thaw makes the source arrays writable again and clears what
+    was kept.
+    """
+
+    def __init__(self, *sources: np.ndarray):
+        self.sources = sources
+        self.operands: dict = {}
+
+    def get(self, key, build):
+        """build()'s tuple of arrays, or the tuple kept under key."""
+        if any(arr.flags.writeable for arr in self.sources):
+            return build()
+        operands = self.operands.get(key)
+        if operands is None:
+            operands = build()
+            for arr in operands:
+                arr.flags.writeable = False
+            self.operands[key] = operands
+        return operands
+
+    def clear(self) -> None:
+        self.operands.clear()
 
 
 @functools.cache
@@ -108,6 +164,18 @@ def _landing(h: int, w: int) -> np.ndarray:
     return table
 
 
+@functools.cache
+def _windows(h: int, w: int, c: int) -> np.ndarray:
+    """Int index (h*w, c*9) into a flattened zero-padded channels-last
+    (h+2, w+2, c) map: row y*w + x lists cell (y, x)'s 3x3 window in the
+    weight's (ci, ky, kx) order. Built on first use per shape and shared,
+    so it is read-only."""
+    y, x, ci, ky, kx = np.indices((h, w, c, 3, 3))
+    index = (((y + ky) * (w + 2) + x + kx) * c + ci).reshape(h * w, c * 9)
+    index.flags.writeable = False
+    return index
+
+
 def _channels_last(x: np.ndarray) -> np.ndarray:
     """The C-contiguous (b, h, w, c) memory of a (b, c, h, w) array. Every
     CNN activation and gradient is a view of such memory, which this returns
@@ -126,7 +194,8 @@ class Conv2d:
     landed (c, c_out) blocks of the unrolled gradient in table order. On a
     1x1 map only the centre tap lands, so the unrolled weight is that slice
     of the weight, transposed. im2col: every cell's zero-padded 3x3
-    neighbourhood becomes one row of a GEMM with the weight.
+    neighbourhood, gathered from a padded buffer by one cached index (see
+    _windows), becomes one row of a batched GEMM with the weight.
 
     A map with fewer cells than the kernel has taps (h*w < 9) always
     unrolls, since most im2col taps would multiply padding. A train forward
@@ -146,12 +215,10 @@ class Conv2d:
     placed in it. Backward computes in the gradient's dtype and adds into the
     float64 parameter gradients.
 
-    An eval forward on a small map other than 1x1 keeps the unrolled matrix
-    with a copy of the weight it came from, and reuses it while the weight
-    still equals that copy and the input asks for the matrix's dtype. Every
-    weight update (optimizer step, weight load, finite-difference probe)
-    writes the weight in place, so the comparison sees it and nothing needs
-    invalidating. A train forward always rebuilds.
+    While the weight and bias are read-only (ParamStore.freeze), a forward
+    keeps the weight operand and the cast bias it derives, per path, map
+    shape and dtype, and reuses them; while they are writable it derives
+    them on every call.
 
     With needs_input_grad False (a layer whose input is data rather than an
     activation), backward accumulates the parameter gradients only and
@@ -165,9 +232,8 @@ class Conv2d:
         self.gweight = np.zeros_like(self.weight)
         self.gbias = np.zeros_like(self.bias)
         self.needs_input_grad = True
+        self.kept = _Kept(self.weight, self.bias)
         self._cache = None
-        # (h, w, copy of the weight, unrolled matrix built from it in its dtype)
-        self._memo = None
 
     def parameters(self):
         return [("weight", self.weight, self.gweight), ("bias", self.bias, self.gbias)]
@@ -184,48 +250,49 @@ class Conv2d:
         c_out = self.weight.shape[0]
         # a float input's own dtype; integer input (observation windows) is float32
         dtype = x.dtype if x.dtype.kind == "f" else np.dtype(np.float32)
-        if h * w < 9 or (train and h * w <= 16):
-            unrolled = self._unrolled_weight(h, w, dtype, memoise=not train)
+        unroll = h * w < 9 or (train and h * w <= 16)
+        weight, bias = self.kept.get(
+            (unroll, h, w, dtype), lambda: self._operands(unroll, h, w, dtype)
+        )
+        if unroll:
             rows = _channels_last(x).reshape(b, h * w * c).astype(dtype, copy=False)
             # numpy sends a one-row product to gemv, which rounds differently
             # from gemm; two copies of the row keep it on gemm, so a robot's
             # features do not depend on the batch it is encoded in
-            out = ((np.repeat(rows, 2, axis=0) if b == 1 else rows) @ unrolled)[:b]
+            out = ((np.repeat(rows, 2, axis=0) if b == 1 else rows) @ weight)[:b]
             # (flattened input rows or im2col columns, input shape, unrolled weight)
-            self._cache = (rows, x.shape, unrolled)
+            self._cache = (rows, x.shape, weight)
         else:
             # channels-last padding: each cell's window is already (c, 3, 3) in order
             padded = np.zeros((b, h + 2, w + 2, c), dtype)
             padded[:, 1:-1, 1:-1] = x.transpose(0, 2, 3, 1)
-            cols = sliding_window_view(padded, (3, 3), axis=(1, 2)).reshape(b, h * w, c * 9)
-            out = cols @ self.weight.reshape(c_out, c * 9).T.astype(dtype, copy=False)
+            cols = padded.reshape(b, -1).take(_windows(h, w, c), axis=1)
+            out = cols @ weight
             self._cache = (cols, x.shape, None)
         out = out.reshape(b, h, w, c_out)
-        out += self.bias.astype(dtype, copy=False)
+        out += bias
         return out.transpose(0, 3, 1, 2)
 
-    def _unrolled_weight(self, h: int, w: int, dtype, memoise: bool) -> np.ndarray:
+    def _operands(self, unroll: bool, h: int, w: int, dtype) -> tuple:
+        """(weight operand, bias) of a forward on an h x w map in dtype."""
+        bias = self.bias.astype(dtype, copy=False)
+        c_out, c = self.weight.shape[:2]
+        if not unroll:
+            return self.weight.reshape(c_out, c * 9).T.astype(dtype, copy=False), bias
+        return self._unrolled_weight(h, w, dtype), bias
+
+    def _unrolled_weight(self, h: int, w: int, dtype) -> np.ndarray:
         # every result is contiguous, so that every batch size takes the same
         # gemm kernel; placing and slicing copy the weight's values, so a
         # float32 matrix is the float64 one rounded entry by entry
         if h * w == 1:
             return np.ascontiguousarray(self.weight[:, :, 1, 1].T, dtype=dtype)
-        if memoise and self._memo is not None:
-            mh, mw, source, unrolled = self._memo
-            if (mh, mw, unrolled.dtype) == (h, w, dtype) and np.array_equal(
-                source, self.weight
-            ):
-                return unrolled
         c_out, c = self.weight.shape[:2]
         cell_in, cell_out, tap = _landing(h, w)
         # (yi, xi), ci, (yo, xo), co: already rows (yi, xi, ci), columns (yo, xo, co)
         unrolled = np.zeros((h * w, c, h * w, c_out), dtype)
         unrolled[cell_in, :, cell_out, :] = self.weight.reshape(c_out, c, 9).T[tap]
-        unrolled = unrolled.reshape(h * w * c, h * w * c_out)
-        if memoise:
-            unrolled.flags.writeable = False
-            self._memo = (h, w, self.weight.copy(), unrolled)
-        return unrolled
+        return unrolled.reshape(h * w * c, h * w * c_out)
 
     def backward(self, gout: np.ndarray) -> np.ndarray | None:
         inputs, (b, c, h, w), unrolled = self._cache
@@ -284,7 +351,9 @@ class BatchNorm2d:
     in place (it is the xhat backward needs) and writes the output once;
     backward builds the input gradient in one buffer. The element-wise
     passes run over long rows (see _per_channel). Eval mode is element-wise:
-    ((x - running_mean) * inv_std) * gamma + beta.
+    ((x - running_mean) * inv_std) * gamma + beta; while gamma, beta and the
+    running statistics are read-only (ParamStore.freeze) it keeps those four
+    spread vectors per map shape and dtype.
 
     The element-wise passes run in the input's dtype. The batch mean and
     variance accumulate in float64, the running statistics' dtype: a
@@ -299,6 +368,7 @@ class BatchNorm2d:
         self.gbeta = np.zeros_like(self.beta)
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
+        self.kept = _Kept(self.gamma, self.beta, self.running_mean, self.running_var)
         self._cache = None
 
     def parameters(self):
@@ -313,27 +383,40 @@ class BatchNorm2d:
                 f"batchnorm2d expects (B,{self.gamma.shape[0]},H,W), got {x.shape}"
             )
         x = _channels_last(x).transpose(0, 3, 1, 2)
+        rows, spread, shaped = _per_channel(x)
         if train:
             m = x.size // x.shape[1]
             mean = np.einsum("bchw->c", x, dtype=np.float64) / m
-        else:
-            mean = self.running_mean
-        rows, spread, shaped = _per_channel(x)
-        xhat = rows - spread(mean)
-        if train:
+            xhat = rows - spread(mean)
             centred = shaped(xhat)
             var = np.einsum("bchw,bchw->c", centred, centred, dtype=np.float64) / m
             unbiased = var * m / (m - 1) if m > 1 else var
             self.running_mean[...] = (1 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean
             self.running_var[...] = (1 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * unbiased
+            inv_std = 1.0 / np.sqrt(var + BN_EPS)
+            scale, gamma, beta = spread(inv_std), spread(self.gamma), spread(self.beta)
         else:
-            var = self.running_var
-        inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        xhat *= spread(inv_std)
+            mean, scale, gamma, beta, inv_std = self.kept.get(
+                (*x.shape[2:], x.dtype), lambda: self._eval_operands(spread)
+            )
+            xhat = rows - mean
+        xhat *= scale
         self._cache = (shaped(xhat), inv_std, train)
-        out = xhat * spread(self.gamma)
-        out += spread(self.beta)
+        out = xhat * gamma
+        out += beta
         return shaped(out)
+
+    def _eval_operands(self, spread) -> tuple:
+        """An eval forward's spread running mean, inverse std, gamma and
+        beta, and the (c,) inverse std its backward reads."""
+        inv_std = 1.0 / np.sqrt(self.running_var + BN_EPS)
+        return (
+            spread(self.running_mean),
+            spread(inv_std),
+            spread(self.gamma),
+            spread(self.beta),
+            inv_std,
+        )
 
     def backward(self, gout: np.ndarray) -> np.ndarray:
         xhat, inv_std, train = self._cache
@@ -359,6 +442,9 @@ class BatchNorm2d:
 class ReLU:
     """max(x, 0); backward passes the gradient where the input was positive.
 
+    Only a train forward keeps the mask backward reads; after an eval
+    forward, backward raises.
+
     The gradient is gout * mask rather than a select: a multiply has no
     branch on a random mask. It equals the select except that a masked
     cell holds -0.0 where gout was negative, and NaN where gout was not
@@ -375,10 +461,12 @@ class ReLU:
         return []
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        self._mask = x > 0
+        self._mask = x > 0 if train else None
         return np.maximum(x, 0.0)
 
     def backward(self, gout: np.ndarray) -> np.ndarray:
+        if self._mask is None:
+            raise RuntimeError("relu backward needs a train-mode forward first")
         return gout * self._mask
 
 

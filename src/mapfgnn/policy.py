@@ -142,11 +142,16 @@ class PolicyNetwork:
         (see nn_core): uint8 windows, as team_observations builds them, run
         in float32 and give their float32 copy's bits, and float64 input
         runs float64 arithmetic. The head takes either and computes in
-        float64."""
+        float64.
+
+        A train forward first thaws the store (see ParamStore): it writes
+        the BatchNorm running statistics, and an optimizer step follows."""
         if obs.ndim != 4 or obs.shape[1:] != (3, self.arch.window, self.arch.window):
             raise ShapeMismatch(
                 f"expected (B,3,{self.arch.window},{self.arch.window}), got {obs.shape}"
             )
+        if train:
+            self.store.thaw()
         x = obs
         for layer in self.cnn:
             x = layer.forward(x, train)

@@ -181,10 +181,10 @@ class TestRollout:
         assert a == b
 
 
-def rebuilt_unrolled_weight(conv, h, w, dtype, memoise):
-    """Conv2d's small-map weight rebuilt through the tap matrix on every
-    call, ignoring memoise: the arithmetic before the eval memo and the 1x1
-    slice, with rows ordered (yi, xi, ci) and columns (yo, xo, co), in the
+def rebuilt_unrolled_weight(conv, h, w, dtype):
+    """Conv2d's small-map weight rebuilt through the tap matrix: the
+    arithmetic before the landing table and the 1x1 slice, with rows
+    ordered (yi, xi, ci) and columns (yo, xo, co), in the
     dtype the layer computes in (each entry is one weight, so the cast of
     the float64 matrix rounds each weight once)."""
     c_out, c = conv.weight.shape[:2]
@@ -257,6 +257,33 @@ class TestNetworkPolicyEquivalence:
         assert got.positions == expected.positions
         assert got.shielded == expected.shielded
         assert got.arrivals == expected.arrivals
+
+
+    def test_rollout_runs_the_nets_own_layers(self, monkeypatch):
+        # a traced run names a net's layers by id, so NetworkPolicy must run
+        # the layer objects of the net it was given, never a copy of them
+        m = generate_map(8, 8, 0.1, seed=4)
+        case = generate_case(m, 3, seed=5)
+        plan = cbs_solve(m, case)
+        net = PolicyNetwork(PolicyArch(channels=(4, 4, 8, 8, 16, 16), features=16), seed=0)
+        seen = []
+
+        def recording(forward):
+            def recorded(layer, *args, **kwargs):
+                seen.append(layer)
+                return forward(layer, *args, **kwargs)
+
+            return recorded
+
+        layers = [*net.cnn, net.gnn, net.gnn_relu, net.head]
+        for cls in {type(layer) for layer in layers}:
+            monkeypatch.setattr(cls, "forward", recording(cls.forward))
+        policy = NetworkPolicy(net)
+        assert policy.net is net
+        traj = rollout(policy, m, case, plan, seed=0)
+        assert traj.steps > 0
+        assert {id(layer) for layer in seen} == {id(layer) for layer in layers}
+        assert len(seen) == traj.steps * len(layers)
 
 
 def one_robot_traj(arrival, t_max, success):

@@ -521,14 +521,17 @@ class TestConv2dLanding:
 
 
 class TestConv2dEvalMemo:
-    """Eval forwards on small maps reuse the unrolled weight; every output
-    must still be bit-identical to a per-call rebuild."""
+    """While its store is frozen, a conv keeps the operands its forward
+    derives from the weight and reuses them; every output must still be
+    bit-identical to a per-call rebuild, before, during and after a freeze."""
 
     def build(self, h, w, rows, seed=31):
         rng = np.random.default_rng(seed)
         conv = Conv2d(5, 7, rng)
+        store = ParamStore()
+        store.add_layer("conv", conv)
         x = rng.normal(size=(rows, 5, h, w))
-        return conv, x, rng
+        return conv, store, x, rng
 
     def assert_matches(self, conv, x, train=False):
         out = conv.forward(x, train=train)
@@ -537,63 +540,179 @@ class TestConv2dEvalMemo:
     @pytest.mark.parametrize("rows", [1, 3, 10])
     @pytest.mark.parametrize("h,w", [(2, 2), (1, 1)])
     def test_after_the_memo_fills(self, h, w, rows):
-        conv, x, _ = self.build(h, w, rows)
-        for _ in range(3):
+        conv, store, x, _ = self.build(h, w, rows)
+        self.assert_matches(conv, x)
+        assert not conv.kept.operands
+        store.freeze()
+        self.assert_matches(conv, x)
+        kept = conv._cache[2]
+        assert not kept.flags.writeable
+        for _ in range(2):
             self.assert_matches(conv, x)
-        if (h, w) == (2, 2):
-            # the second and third calls used the matrix the first one kept
-            assert conv._cache[2] is conv._memo[3]
+            # the later calls multiply by the matrix the first frozen one kept
+            assert conv._cache[2] is kept
 
     @pytest.mark.parametrize("rows", [1, 3, 10])
     @pytest.mark.parametrize("h,w", [(2, 2), (1, 1)])
     def test_after_an_in_place_weight_edit(self, h, w, rows):
-        conv, x, _ = self.build(h, w, rows)
+        conv, store, x, _ = self.build(h, w, rows)
+        store.freeze()
         self.assert_matches(conv, x)
         for index in [(0, 0, 1, 1), (6, 4, 0, 2), (3, 2, 2, 0)]:
+            with pytest.raises(ValueError):
+                conv.weight[index] += 0.25
+            store.thaw()
+            assert not conv.kept.operands
             conv.weight[index] += 0.25
+            self.assert_matches(conv, x)
+            store.freeze()
             self.assert_matches(conv, x)
 
     @pytest.mark.parametrize("rows", [1, 3, 10])
     @pytest.mark.parametrize("h,w", [(2, 2), (1, 1)])
     def test_after_an_adam_step(self, h, w, rows):
-        conv, x, rng = self.build(h, w, rows)
-        store = ParamStore()
-        store.add_layer("conv", conv)
+        conv, store, x, rng = self.build(h, w, rows)
         adam = training.AdamState(store)
+        store.freeze()
         self.assert_matches(conv, x)
         before = conv.weight.copy()
         conv.gweight[...] = rng.normal(size=conv.weight.shape)
+        with pytest.raises(ValueError):
+            training.adam_step(store, adam, 1e-3, training.TrainConfig())
+        store.thaw()
         training.adam_step(store, adam, 1e-3, training.TrainConfig())
         assert not np.array_equal(conv.weight, before)
+        self.assert_matches(conv, x)
+        store.freeze()
         self.assert_matches(conv, x)
 
     @pytest.mark.parametrize("rows", [1, 3, 10])
     @pytest.mark.parametrize("h,w", [(2, 2), (1, 1)])
     def test_after_a_weight_load(self, h, w, rows):
-        conv, x, _ = self.build(h, w, rows)
-        other, _, _ = self.build(h, w, rows, seed=32)
-        store, source = ParamStore(), ParamStore()
-        store.add_layer("conv", conv)
-        source.add_layer("conv", other)
+        conv, store, x, _ = self.build(h, w, rows)
+        other, source, _, _ = self.build(h, w, rows, seed=32)
+        store.freeze()
         self.assert_matches(conv, x)
+        # a load thaws the store: the weights change and nothing is kept
         store.load_jsonable(source.to_jsonable())
+        assert conv.weight.flags.writeable and not conv.kept.operands
         assert np.array_equal(conv.weight, other.weight)
+        self.assert_matches(conv, x)
+        store.freeze()
         self.assert_matches(conv, x)
 
     @pytest.mark.parametrize("rows", [1, 3, 10])
     @pytest.mark.parametrize("h,w", [(2, 2), (1, 1)])
     def test_a_train_forward_never_reads_a_stale_matrix(self, h, w, rows):
-        conv, x, _ = self.build(h, w, rows)
-        original = conv.weight.copy()
+        conv, store, x, _ = self.build(h, w, rows)
+        store.freeze()
         self.assert_matches(conv, x)
+        store.thaw()
         conv.weight[1, 1, 1, 1] -= 0.5
         self.assert_matches(conv, x, train=True)
-        # back to the memoised weight: eval reuses the kept matrix, still exact
-        conv.weight[...] = original
         self.assert_matches(conv, x)
+        store.freeze()
+        # a frozen train forward reads the matrix of the weight as it is now
+        self.assert_matches(conv, x, train=True)
+        self.assert_matches(conv, x)
+        store.thaw()
         conv.weight[2, 3, 0, 0] += 0.5
         self.assert_matches(conv, x, train=True)
         self.assert_matches(conv, x)
+
+
+class TestFreeze:
+    """ParamStore.freeze: every parameter and state array is read-only, the
+    layers keep what their eval forward derives from them, and thaw drops it."""
+
+    def net(self, seed=0):
+        arch = PolicyArch(channels=(4, 4, 8, 8, 16, 16), features=16, taps=2)
+        net = PolicyNetwork(arch, seed=seed)
+        obs = (np.random.default_rng(seed).random((32, 3, 9, 9)) < 0.3).astype(np.uint8)
+        net.encode(obs, train=True)
+        return net, obs
+
+    def test_a_write_to_a_frozen_array_raises(self):
+        net, _ = self.net()
+        net.store.freeze()
+        for name, arr in {**net.store.params, **net.store.state}.items():
+            with pytest.raises(ValueError):
+                arr.flat[0] += 1.0
+            assert not arr.flags.writeable, name
+        # gradients stay writable, and so do the running statistics of a
+        # thawed store
+        net.store.zero_grads()
+        net.store.thaw()
+        for arr in {**net.store.params, **net.store.state}.values():
+            arr.flat[0] += 0.0
+
+    def test_a_frozen_batchnorm_train_forward_raises(self):
+        net, obs = self.net()
+        bn = net.cnn[1]
+        x = np.random.default_rng(1).normal(size=(4, bn.gamma.size, 9, 9))
+        net.store.freeze()
+        with pytest.raises(ValueError):
+            bn.forward(x, train=True)
+
+    def test_eval_follows_weights_edited_after_a_thaw(self):
+        net, obs = self.net()
+        net.store.freeze()
+        frozen = net.encode(obs)
+        net.store.thaw()
+        for arr in {**net.store.params, **net.store.state}.values():
+            arr *= 1.25
+        fresh, _ = self.net()
+        for name, arr in {**fresh.store.params, **fresh.store.state}.items():
+            arr *= 1.25
+        want = fresh.encode(obs)
+        assert not np.array_equal(want, frozen)
+        assert net.encode(obs).tobytes() == want.tobytes()
+        net.store.freeze()
+        assert net.encode(obs).tobytes() == want.tobytes()
+
+    def test_a_second_frozen_forward_reuses_every_kept_operand(self):
+        net, obs = self.net()
+        net.store.freeze()
+        net.encode(obs[:10])
+        kept = [dict(layer.kept.operands) for layer in net.cnn if hasattr(layer, "kept")]
+        # every conv and batchnorm kept one set of operands for its one map shape
+        assert [len(k) for k in kept] == [1] * 12
+        net.encode(obs[10:20])
+        again = [layer.kept.operands for layer in net.cnn if hasattr(layer, "kept")]
+        for before, after in zip(kept, again):
+            assert before.keys() == after.keys()
+            for key in before:
+                assert all(a is b for a, b in zip(before[key], after[key]))
+                assert not any(a.flags.writeable for a in after[key])
+        net.store.thaw()
+        assert not any(layer.kept.operands for layer in net.cnn if hasattr(layer, "kept"))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_a_kept_operand_is_keyed_by_dtype_and_shape(self, dtype):
+        net, obs = self.net()
+        conv = net.cnn[0]
+        x = obs.astype(dtype)
+        want = [conv.forward(x[:, :, :h, :h], train=False).tobytes() for h in (9, 4, 2)]
+        net.store.freeze()
+        for _ in range(2):
+            for source in (obs, x):
+                got = [conv.forward(source[:, :, :h, :h], train=False) for h in (9, 4, 2)]
+                if source is x:
+                    assert [g.tobytes() for g in got] == want
+                    assert all(g.dtype == dtype for g in got)
+
+    @pytest.mark.parametrize("h,w,c", [(9, 9, 3), (4, 4, 32), (3, 5, 2), (1, 1, 4)])
+    def test_window_index_is_the_sliding_window_copy(self, h, w, c):
+        index = nn_core._windows(h, w, c)
+        assert index is nn_core._windows(h, w, c)
+        with pytest.raises(ValueError):
+            index[0, 0] = 0
+        padded = np.random.default_rng(h * w * c).normal(size=(2, h + 2, w + 2, c))
+        windows = sliding_window_view(padded, (3, 3), axis=(1, 2))
+        want = windows.reshape(2, h * w, c * 9)
+        got = padded.reshape(2, -1).take(index, axis=1)
+        assert got.flags.c_contiguous and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestBatchNorm2d:
@@ -709,6 +828,16 @@ class TestReluMaxpool:
             return (out * coef).sum(), [r.backward(coef).copy()]
 
         assert gradient_check(run, [x]) < 1e-6
+
+    def test_relu_backward_after_an_eval_forward_raises(self):
+        rng = np.random.default_rng(9)
+        r = ReLU()
+        x = safe_input(rng, (4, 6))
+        r.forward(x, train=True)
+        assert np.array_equal(r.forward(x, train=False), np.maximum(x, 0.0))
+        # neither a missing mask nor the train forward's stale one is read
+        with pytest.raises(RuntimeError):
+            r.backward(rng.normal(size=x.shape))
 
     def test_maxpool_shape_9_to_4(self):
         mp = MaxPool2d()

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,17 +51,21 @@ class TestArchitecture:
     def test_eval_rows_encode_independently(self):
         # a robot's features must not depend on the batch it is encoded in,
         # bit for bit, one-row batches (which BLAS may treat apart) included,
-        # in float64 and in the float32 arithmetic uint8 observations take
+        # in float64 and in the float32 arithmetic uint8 observations take,
+        # with the operands a frozen net keeps and without them
         rng = np.random.default_rng(3)
         obs = random_obs(rng, 640)
-        for dtype in (np.float64, np.uint8):
-            for arch in (TINY, PolicyArch()):
-                net = PolicyNetwork(arch, seed=0)
-                x = obs.astype(dtype)
-                full = net.encode(x)
-                for b in range(1, 17):
-                    assert np.array_equal(net.encode(x[:b]), full[:b]), (dtype, arch, b)
-                assert np.array_equal(net.encode(x[-16:]), full[-16:]), (dtype, arch)
+        for dtype, arch, frozen in itertools.product(
+            (np.float64, np.uint8), (TINY, PolicyArch()), (False, True)
+        ):
+            net = PolicyNetwork(arch, seed=0)
+            if frozen:
+                net.store.freeze()
+            x = obs.astype(dtype)
+            full = net.encode(x)
+            for b in range(1, 17):
+                assert np.array_equal(net.encode(x[:b]), full[:b]), (dtype, arch, frozen, b)
+            assert np.array_equal(net.encode(x[-16:]), full[-16:]), (dtype, arch, frozen)
 
     @pytest.mark.parametrize("rows", [1, 10, 640])
     def test_uint8_observations_give_the_bits_of_their_float32_copy(self, rows):
@@ -80,6 +86,24 @@ class TestArchitecture:
         net, gso = PolicyNetwork(seed=0), path_gso(rows)
         probs = [policy_forward(net, x, gso) for x in (obs, wide)]
         assert probs[0].tobytes() == probs[1].tobytes()
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_eval_bytes_do_not_depend_on_the_blas_thread_count(self, frozen, blas_threads):
+        net = PolicyNetwork(seed=0)
+        rng = np.random.default_rng(6)
+        for _ in range(2):
+            net.encode(random_obs(rng, 64).astype(np.uint8), train=True)
+        if frozen:
+            NetworkPolicy(net)
+        obs = random_obs(rng, 640).astype(np.uint8)
+        probs = {}
+        for threads in (1, 2):
+            blas_threads(threads)
+            probs[threads] = [
+                policy_forward(net, obs[:rows], path_gso(rows)).tobytes()
+                for rows in (1, 10, 16, 40, 72, 640)
+            ]
+        assert probs[1] == probs[2]
 
     def test_rejects_wrong_window(self):
         net = PolicyNetwork(seed=0)

@@ -13,7 +13,7 @@ from mapfgnn.executor import IdlePolicy, PlanReplayPolicy
 from mapfgnn.expert import cbs_solve
 from mapfgnn.gridworld import build_gso, generate_case, generate_map
 from mapfgnn.jsonio import encode_float64s
-from mapfgnn.nn_core import log_softmax, one_hot
+from mapfgnn.nn_core import ParamStore, log_softmax, one_hot
 from mapfgnn.policy import PolicyArch, PolicyNetwork
 from mapfgnn.training import (
     AdamState,
@@ -614,9 +614,10 @@ class TestMixedPrecision:
         assert all(a.dtype == np.float64 for a in arrays)
 
     def test_a_float64_pass_after_a_float32_one_gives_float64_bits(self, trained):
-        # the eval memo of the 2x2 convs holds the matrix a float32 pass built
+        # a frozen net keeps the operands a float32 pass built, keyed by dtype
         weights = trained[0].to_jsonable()
         net, fresh = (PolicyNetwork.from_jsonable(weights) for _ in range(2))
+        net.store.freeze()
         obs = np.concatenate([s.obs for s in trained[1]["random"]])[:10]
         net.encode(obs)
         wide = obs.astype(np.float64)
@@ -692,6 +693,34 @@ class TestOnlineExpert:
         cfg = TrainConfig(oe_cases=2, seed=0)
         aggregate_online_expert(net, ds, records, maps, cfg, epoch=0)
         assert len(ds) >= before
+
+
+    def test_a_frozen_cycle_gives_the_bytes_of_a_never_frozen_one(self, monkeypatch):
+        # the online expert's NetworkPolicy freezes the net, an eval pass runs
+        # on the frozen weights, and the next train epoch thaws them
+        maps, records = solved_pool(num_cases=3, robots=3, seed=13)
+        cfg = TrainConfig(oe_cases=3, batch_size=4, seed=0)
+
+        def cycle():
+            ds = dataset_from(records, maps)
+            net = PolicyNetwork(TINY, seed=8)
+            adam = AdamState(net.store)
+            out, writeable = [], []
+            for epoch in range(2):
+                out.append(aggregate_online_expert(net, ds, records, maps, cfg, epoch))
+                writeable.append(net.head.weight.flags.writeable)
+                out.append(evaluate(net, ds, cfg))
+                out.append(train_epoch(net, adam, ds, cfg, epoch))
+                out.append(evaluate(net, ds, cfg))
+            arrays = {**net.store.params, **net.store.state}
+            return out, {name: arr.tobytes() for name, arr in arrays.items()}, writeable
+
+        *frozen, writeable = cycle()
+        assert writeable == [False, False]
+        monkeypatch.setattr(ParamStore, "freeze", lambda store: None)
+        *never, writeable = cycle()
+        assert writeable == [True, True]
+        assert never == frozen
 
 
 class TestFit:
