@@ -258,7 +258,6 @@ class TestNetworkPolicyEquivalence:
         assert got.shielded == expected.shielded
         assert got.arrivals == expected.arrivals
 
-
     def test_rollout_runs_the_nets_own_layers(self, monkeypatch):
         # a traced run names a net's layers by id, so NetworkPolicy must run
         # the layer objects of the net it was given, never a copy of them

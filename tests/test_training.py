@@ -694,7 +694,6 @@ class TestOnlineExpert:
         aggregate_online_expert(net, ds, records, maps, cfg, epoch=0)
         assert len(ds) >= before
 
-
     def test_a_frozen_cycle_gives_the_bytes_of_a_never_frozen_one(self, monkeypatch):
         # the online expert's NetworkPolicy freezes the net, an eval pass runs
         # on the frozen weights, and the next train epoch thaws them
