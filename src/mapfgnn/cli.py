@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import os
 
-# single-threaded BLAS keeps reductions bit-stable; set before numpy loads
+# one BLAS thread, the count recorded artifacts were made at (the tests find
+# the same bytes at two, see README); set before numpy loads
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 

@@ -13,8 +13,9 @@ float64 gradient arrays. Integer input (the uint8 observations) enters
 Conv2d as float32, so the policy's CNN runs in float32 and float64 input
 runs float64 arithmetic throughout. Linear and GraphFilter take any float
 input and compute in float64 with their float64 parameters. A frozen
-ParamStore lets Conv2d and BatchNorm2d keep those casts and the operands
-derived from them between calls (see ParamStore).
+ParamStore lets Conv2d keep the band and bias it derives from its weights,
+and in eval mode from its BatchNorm's arrays too, between calls (see
+ParamStore).
 """
 
 from __future__ import annotations
@@ -115,8 +116,8 @@ class ParamStore:
 
 
 class _Kept:
-    """Operands a layer's forward derives from its parameter and state
-    arrays (casts, placed matrices, spread vectors), kept per key while
+    """Operands a layer's forward derives from parameter and state arrays
+    (placed band matrices, folded and cast biases), kept per key while
     every one of those arrays is read-only.
 
     While any source array is writable, get builds the operands afresh and
@@ -146,34 +147,30 @@ class _Kept:
 
 
 @functools.cache
-def _landing(h: int, w: int) -> np.ndarray:
-    """Int table (3, n) of the (input cell, output cell, tap) triples where a
-    3x3 tap lands on a real cell of an h x w map.
+def _taps(w: int) -> np.ndarray:
+    """Int table (3, n) of the (input column, output column, tap column)
+    triples where a 3x3 tap lands on a real column of a w-column map.
 
-    Input cell (yi, xi) lies in output cell (yo, xo)'s window at tap
-    (yi-yo+1, xi-xo+1); cells are numbered y*w + x and taps ky*3 + kx. The
-    triples are ordered by tap, and within a tap by (yi, xi, yo, xo). Built
-    once per shape and shared, so it is read-only.
+    Input column xi lies in output column xo's window at tap column
+    xi-xo+1. The triples are ordered by tap column, and within one by
+    (xi, xo). Built once per width and shared, so it is read-only.
     """
-    yi, xi, yo, xo = np.indices((h, w, h, w)).reshape(4, -1)
-    ky, kx = yi - yo + 1, xi - xo + 1
-    lands = (ky >= 0) & (ky < 3) & (kx >= 0) & (kx < 3)
-    table = np.stack([yi * w + xi, yo * w + xo, ky * 3 + kx])[:, lands]
+    xi, xo = np.indices((w, w)).reshape(2, -1)
+    kx = xi - xo + 1
+    lands = (kx >= 0) & (kx < 3)
+    table = np.stack([xi, xo, kx])[:, lands]
     table = table[:, np.argsort(table[2], kind="stable")]
     table.flags.writeable = False
     return table
 
 
-@functools.cache
-def _windows(h: int, w: int, c: int) -> np.ndarray:
-    """Int index (h*w, c*9) into a flattened zero-padded channels-last
-    (h+2, w+2, c) map: row y*w + x lists cell (y, x)'s 3x3 window in the
-    weight's (ci, ky, kx) order. Built on first use per shape and shared,
-    so it is read-only."""
-    y, x, ci, ky, kx = np.indices((h, w, c, 3, 3))
-    index = (((y + ky) * (w + 2) + x + kx) * c + ci).reshape(h * w, c * 9)
-    index.flags.writeable = False
-    return index
+def _row_windows(h: int, width: int):
+    """(y, rows, band rows) per row y of an h-row map: rows is the slice of
+    the rows y-1..y+1 that exist, and band rows the slice of a band whose
+    blocks are width rows long that meets them (see Conv2d)."""
+    for y in range(h):
+        lo, hi = max(y - 1, 0), min(y + 2, h)
+        yield y, slice(lo, hi), slice((lo - y + 1) * width, (hi - y + 1) * width)
 
 
 def _channels_last(x: np.ndarray) -> np.ndarray:
@@ -186,53 +183,55 @@ def _channels_last(x: np.ndarray) -> np.ndarray:
 class Conv2d:
     """3x3 cross-correlation, stride 1, zero padding 1; spatial size preserved.
 
-    Two paths, chosen by the map's cell count and the train flag alone, never
-    by the batch size. Unrolled: the taps that land on real cells (the
-    _landing table) are placed into a zeroed (h*w*c, h*w*c_out) matrix with
-    rows ordered (yi, xi, ci) and columns (yo, xo, co), the channels-last
-    input rows take one dense GEMM with it, and backward sums each tap's
-    landed (c, c_out) blocks of the unrolled gradient in table order. On a
-    1x1 map only the centre tap lands, so the unrolled weight is that slice
-    of the weight, transposed. im2col: every cell's zero-padded 3x3
-    neighbourhood, gathered from a padded buffer by one cached index (see
-    _windows), becomes one row of a batched GEMM with the weight.
+    One banded GEMM per output row, for every map size, mode and batch
+    size. The layer places its weight into a band matrix (3*w*c, w*c_out)
+    with rows ordered (ky, xi, ci) and columns (xo, co), from the cached
+    tap table of the (xi, xo, kx) triples that land on real columns (see
+    _taps). Output row yo is the channels-last input rows yo-1..yo+1, a
+    strided slice of the input taken without a copy, times the band; an
+    edge row, with one input row missing, meets a row slice of the same
+    band. Each product is written into its row of the channels-last
+    output, so the output is a (b, c, h, w) view of channels-last memory.
+    An input in another layout or dtype is copied once.
 
-    A map with fewer cells than the kernel has taps (h*w < 9) always
-    unrolls, since most im2col taps would multiply padding. A train forward
-    also unrolls a map of up to 16 cells (the 4x4 maps after the first
-    pool): at training batch sizes the one wide GEMM beats im2col's window
-    copy and narrow per-row GEMMs despite its extra zero taps. An eval
-    forward keeps im2col there, because a few-row step would read a large
-    matrix for little work. Larger maps always run im2col.
+    Backward takes the same slices. The band gradient accumulates one
+    output row's product at a time, in row order, and folds onto the 3x3
+    taps by summing each tap column's landed (c, c_out) blocks in table
+    order. The input gradient reads the band transposed and flipped in ky,
+    one GEMM per input row. With needs_input_grad False (a layer whose
+    input is data rather than an activation), backward accumulates the
+    parameter gradients only and returns None.
 
-    Both paths read channels-last input rows and write channels-last output
-    rows, so the output and the input gradient are (b, c, h, w) views of
-    channels-last memory; an input or gradient in another layout is copied
-    once (im2col's padding copy takes any input as it is).
+    A forward computes in the input's dtype, float32 for integer input: the
+    band is placed in it, so each float32 entry is one weight rounded once,
+    and the bias is cast to it. Backward computes in the gradient's dtype
+    and adds into the float64 parameter gradients.
 
-    Both paths compute in the input's dtype, float32 for integer input: the
-    weight and bias are cast to it for the pass, and the unrolled matrix is
-    placed in it. Backward computes in the gradient's dtype and adds into the
-    float64 parameter gradients.
+    A conv built with the BatchNorm2d that follows it (bn) computes both
+    layers in an eval forward: its band holds W*a and its bias is
+    (b - running_mean)*a + beta, where a = gamma/sqrt(running_var + eps),
+    computed in float64 and cast once (Ioffe and Szegedy, 2015). Such a
+    forward keeps nothing for backward, which then raises. A train forward
+    computes the conv alone.
 
-    While the weight and bias are read-only (ParamStore.freeze), a forward
-    keeps the weight operand and the cast bias it derives, per path, map
-    shape and dtype, and reuses them; while they are writable it derives
-    them on every call.
-
-    With needs_input_grad False (a layer whose input is data rather than an
-    activation), backward accumulates the parameter gradients only and
-    returns None.
+    While the weight and bias, and the linked BatchNorm's four arrays, are
+    read-only (ParamStore.freeze), a forward keeps the band and bias it
+    derives per map width, dtype and fold, and reuses them; while any is
+    writable it derives them on every call.
     """
 
-    def __init__(self, c_in: int, c_out: int, rng: np.random.Generator):
+    def __init__(
+        self, c_in: int, c_out: int, rng: np.random.Generator, bn: BatchNorm2d | None = None
+    ):
         fan_in = c_in * 9
         self.weight = uniform_init(rng, (c_out, c_in, 3, 3), fan_in)
         self.bias = uniform_init(rng, (c_out,), fan_in)
         self.gweight = np.zeros_like(self.weight)
         self.gbias = np.zeros_like(self.bias)
         self.needs_input_grad = True
-        self.kept = _Kept(self.weight, self.bias)
+        self.bn = bn
+        norm = () if bn is None else (bn.gamma, bn.beta, bn.running_mean, bn.running_var)
+        self.kept = _Kept(self.weight, self.bias, *norm)
         self._cache = None
 
     def parameters(self):
@@ -250,78 +249,66 @@ class Conv2d:
         c_out = self.weight.shape[0]
         # a float input's own dtype; integer input (observation windows) is float32
         dtype = x.dtype if x.dtype.kind == "f" else np.dtype(np.float32)
-        unroll = h * w < 9 or (train and h * w <= 16)
-        weight, bias = self.kept.get(
-            (unroll, h, w, dtype), lambda: self._operands(unroll, h, w, dtype)
-        )
-        if unroll:
-            rows = _channels_last(x).reshape(b, h * w * c).astype(dtype, copy=False)
-            # numpy sends a one-row product to gemv, which rounds differently
-            # from gemm; two copies of the row keep it on gemm, so a robot's
-            # features do not depend on the batch it is encoded in
-            out = ((np.repeat(rows, 2, axis=0) if b == 1 else rows) @ weight)[:b]
-            # (flattened input rows or im2col columns, input shape, unrolled weight)
-            self._cache = (rows, x.shape, weight)
-        else:
-            # channels-last padding: each cell's window is already (c, 3, 3) in order
-            padded = np.zeros((b, h + 2, w + 2, c), dtype)
-            padded[:, 1:-1, 1:-1] = x.transpose(0, 2, 3, 1)
-            cols = padded.reshape(b, -1).take(_windows(h, w, c), axis=1)
-            out = cols @ weight
-            self._cache = (cols, x.shape, None)
-        out = out.reshape(b, h, w, c_out)
+        fold = self.bn is not None and not train
+        band, bias = self.kept.get((fold, w, dtype), lambda: self._operands(fold, w, dtype))
+        # numpy sends a one-row product to gemv, which rounds differently
+        # from gemm; two copies of the row keep it on gemm, so a robot's
+        # features do not depend on the batch it is encoded in
+        n = max(b, 2)
+        cells = x.transpose(0, 2, 3, 1)
+        if n != b or cells.dtype != dtype or not cells.flags.c_contiguous:
+            cells = np.broadcast_to(cells, (n, h, w, c)).astype(dtype, order="C")
+        rows = cells.reshape(n, h, w * c)
+        out = np.empty((n, h, w * c_out), dtype)
+        for y, window, band_rows in _row_windows(h, w * c):
+            np.matmul(rows[:, window].reshape(n, -1), band[band_rows], out=out[:, y])
+        out = out[:b].reshape(b, h, w, c_out)
         out += bias
+        # (input rows, input shape, band)
+        self._cache = None if fold else (rows[:b], x.shape, band)
         return out.transpose(0, 3, 1, 2)
 
-    def _operands(self, unroll: bool, h: int, w: int, dtype) -> tuple:
-        """(weight operand, bias) of a forward on an h x w map in dtype."""
-        bias = self.bias.astype(dtype, copy=False)
-        c_out, c = self.weight.shape[:2]
-        if not unroll:
-            return self.weight.reshape(c_out, c * 9).T.astype(dtype, copy=False), bias
-        return self._unrolled_weight(h, w, dtype), bias
-
-    def _unrolled_weight(self, h: int, w: int, dtype) -> np.ndarray:
-        # every result is contiguous, so that every batch size takes the same
-        # gemm kernel; placing and slicing copy the weight's values, so a
-        # float32 matrix is the float64 one rounded entry by entry
-        if h * w == 1:
-            return np.ascontiguousarray(self.weight[:, :, 1, 1].T, dtype=dtype)
-        c_out, c = self.weight.shape[:2]
-        cell_in, cell_out, tap = _landing(h, w)
-        # (yi, xi), ci, (yo, xo), co: already rows (yi, xi, ci), columns (yo, xo, co)
-        unrolled = np.zeros((h * w, c, h * w, c_out), dtype)
-        unrolled[cell_in, :, cell_out, :] = self.weight.reshape(c_out, c, 9).T[tap]
-        return unrolled.reshape(h * w * c, h * w * c_out)
+    def _operands(self, fold: bool, w: int, dtype) -> tuple:
+        """(band, bias) of a forward on a w-column map in dtype; with fold,
+        those of this conv and its BatchNorm's eval transform."""
+        weight, bias = self.weight, self.bias
+        if fold:
+            bn = self.bn
+            scale = bn.gamma / np.sqrt(bn.running_var + BN_EPS)
+            weight = weight * scale[:, None, None, None]
+            bias = (bias - bn.running_mean) * scale + bn.beta
+        c_out, c = weight.shape[:2]
+        xi, xo, kx = _taps(w)
+        band = np.zeros((3, w, c, w, c_out), dtype)
+        # (kx, ky, ci, co) taps: one (ky, ci, co) stack per landing triple
+        band[:, xi, :, xo, :] = weight.transpose(3, 2, 1, 0)[kx]
+        return band.reshape(3 * w * c, w * c_out), bias.astype(dtype, copy=False)
 
     def backward(self, gout: np.ndarray) -> np.ndarray | None:
-        inputs, (b, c, h, w), unrolled = self._cache
+        if self._cache is None:
+            raise RuntimeError("conv2d backward needs a forward of the conv alone first")
+        rows, (b, c, h, w), band = self._cache
         c_out = self.weight.shape[0]
-        g = _channels_last(gout).reshape(b, h * w, c_out)
-        self.gbias += np.einsum("bsc->c", g)
-        if unrolled is not None:
-            g2 = g.reshape(b, h * w * c_out)
-            cell_in, cell_out, tap = _landing(h, w)
-            landed = (inputs.T @ g2).reshape(h * w, c, h * w, c_out)[cell_in, :, cell_out, :]
-            # each tap's blocks summed one by one in table order: the rounding
-            # then depends on no BLAS blocking of the reduction
-            gtaps = np.stack([landed[tap == k].sum(axis=0) for k in range(9)])
-            self.gweight += gtaps.T.reshape(self.weight.shape)
-            if not self.needs_input_grad:
-                return None
-            return (g2 @ unrolled.T).reshape(b, h, w, c).transpose(0, 3, 1, 2)
-        self.gweight += np.tensordot(g, inputs, axes=([0, 1], [0, 1])).reshape(
-            self.weight.shape
-        )
+        g = _channels_last(gout).reshape(b, h, w * c_out)
+        self.gbias += np.einsum("bsc->c", g.reshape(b, h * w, c_out))
+        gband = np.zeros(band.shape, g.dtype)
+        for y, window, band_rows in _row_windows(h, w * c):
+            gband[band_rows] += rows[:, window].reshape(b, -1).T @ g[:, y]
+        xi, xo, kx = _taps(w)
+        landed = gband.reshape(3, w, c, w, c_out)[:, xi, :, xo, :]
+        # each tap column's blocks summed one by one in table order: the
+        # rounding then depends on no BLAS blocking of the reduction
+        gtaps = np.stack([landed[kx == k].sum(axis=0) for k in range(3)])
+        self.gweight += gtaps.transpose(3, 2, 1, 0)
         if not self.needs_input_grad:
             return None
-        weight = self.weight.reshape(c_out, c * 9).astype(g.dtype, copy=False)
-        gcols = (g @ weight).reshape(b, h, w, c, 3, 3)
-        gpad = np.zeros((b, h + 2, w + 2, c), g.dtype)
-        for di in range(3):
-            for dj in range(3):
-                gpad[:, di : di + h, dj : dj + w] += gcols[..., di, dj]
-        return np.ascontiguousarray(gpad[:, 1:-1, 1:-1]).transpose(0, 3, 1, 2)
+        # block ky of the band, transposed, meets output row yi - ky + 1
+        flipped = band.astype(g.dtype, copy=False).reshape(3, w * c, w * c_out)[::-1]
+        flipped = np.ascontiguousarray(flipped.transpose(0, 2, 1)).reshape(3 * w * c_out, w * c)
+        gin = np.empty((b, h, w * c), g.dtype)
+        for y, window, band_rows in _row_windows(h, w * c_out):
+            np.matmul(g[:, window].reshape(b, -1), flipped[band_rows], out=gin[:, y])
+        return gin.reshape(b, h, w, c).transpose(0, 3, 1, 2)
 
 
 def _per_channel(x: np.ndarray):
@@ -351,9 +338,9 @@ class BatchNorm2d:
     in place (it is the xhat backward needs) and writes the output once;
     backward builds the input gradient in one buffer. The element-wise
     passes run over long rows (see _per_channel). Eval mode is element-wise:
-    ((x - running_mean) * inv_std) * gamma + beta; while gamma, beta and the
-    running statistics are read-only (ParamStore.freeze) it keeps those four
-    spread vectors per map shape and dtype.
+    ((x - running_mean) * inv_std) * gamma + beta. The policy's CNN never
+    runs it: each of its convs folds its BatchNorm's eval transform into its
+    own eval operands (see Conv2d).
 
     The element-wise passes run in the input's dtype. The batch mean and
     variance accumulate in float64, the running statistics' dtype: a
@@ -368,7 +355,6 @@ class BatchNorm2d:
         self.gbeta = np.zeros_like(self.beta)
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-        self.kept = _Kept(self.gamma, self.beta, self.running_mean, self.running_var)
         self._cache = None
 
     def parameters(self):
@@ -393,30 +379,15 @@ class BatchNorm2d:
             unbiased = var * m / (m - 1) if m > 1 else var
             self.running_mean[...] = (1 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean
             self.running_var[...] = (1 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * unbiased
-            inv_std = 1.0 / np.sqrt(var + BN_EPS)
-            scale, gamma, beta = spread(inv_std), spread(self.gamma), spread(self.beta)
         else:
-            mean, scale, gamma, beta, inv_std = self.kept.get(
-                (*x.shape[2:], x.dtype), lambda: self._eval_operands(spread)
-            )
-            xhat = rows - mean
-        xhat *= scale
+            mean, var = self.running_mean, self.running_var
+            xhat = rows - spread(mean)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
+        xhat *= spread(inv_std)
         self._cache = (shaped(xhat), inv_std, train)
-        out = xhat * gamma
-        out += beta
+        out = xhat * spread(self.gamma)
+        out += spread(self.beta)
         return shaped(out)
-
-    def _eval_operands(self, spread) -> tuple:
-        """An eval forward's spread running mean, inverse std, gamma and
-        beta, and the (c,) inverse std its backward reads."""
-        inv_std = 1.0 / np.sqrt(self.running_var + BN_EPS)
-        return (
-            spread(self.running_mean),
-            spread(inv_std),
-            spread(self.gamma),
-            spread(self.beta),
-            inv_std,
-        )
 
     def backward(self, gout: np.ndarray) -> np.ndarray:
         xhat, inv_std, train = self._cache

@@ -108,7 +108,9 @@ class PolicyNetwork:
     shrinking the 9x9 window to 1x1 and flattening to the feature width.
     Max-pooling before the ReLU computes exactly what pooling after it
     would, since max and ReLU commute and the gradient takes the same route,
-    but the ReLU then runs on a quarter of the cells.
+    but the ReLU then runs on a quarter of the cells. Each conv is built
+    with the BatchNorm that follows it, whose eval transform it folds into
+    its own eval forward (see Conv2d and encode).
     """
 
     def __init__(self, arch: PolicyArch = PolicyArch(), seed: int = 0):
@@ -118,10 +120,10 @@ class PolicyNetwork:
         self.cnn = []
         c_prev = 3
         for i, c in enumerate(arch.channels):
-            conv = Conv2d(c_prev, c, rng)
+            bn = BatchNorm2d(c)
+            conv = Conv2d(c_prev, c, rng, bn=bn)
             # observations are data: no gradient flows back into them
             conv.needs_input_grad = i > 0
-            bn = BatchNorm2d(c)
             self.store.add_layer(f"cnn.conv{i}", conv)
             self.store.add_layer(f"cnn.bn{i}", bn)
             self.cnn.extend([conv, bn])
@@ -144,8 +146,10 @@ class PolicyNetwork:
         runs float64 arithmetic. The head takes either and computes in
         float64.
 
-        A train forward first thaws the store (see ParamStore): it writes
-        the BatchNorm running statistics, and an optimizer step follows."""
+        A train forward runs every layer and first thaws the store (see
+        ParamStore): it writes the BatchNorm running statistics, and an
+        optimizer step follows. An eval forward skips the BatchNorm layers,
+        since each conv's eval forward computes its BatchNorm too."""
         if obs.ndim != 4 or obs.shape[1:] != (3, self.arch.window, self.arch.window):
             raise ShapeMismatch(
                 f"expected (B,3,{self.arch.window},{self.arch.window}), got {obs.shape}"
@@ -154,7 +158,8 @@ class PolicyNetwork:
             self.store.thaw()
         x = obs
         for layer in self.cnn:
-            x = layer.forward(x, train)
+            if train or not isinstance(layer, BatchNorm2d):
+                x = layer.forward(x, train)
         return x.reshape(x.shape[0], self.arch.features)
 
     def encode_backward(self, gfeat: np.ndarray) -> None:

@@ -25,7 +25,7 @@ from mapfgnn.gridworld import (
     generate_map,
     team_observations,
 )
-from mapfgnn.nn_core import BatchNorm2d, Conv2d
+from mapfgnn.nn_core import BN_EPS, BatchNorm2d, Conv2d
 from mapfgnn.policy import PolicyArch, PolicyNetwork, policy_forward
 
 RIGHT, LEFT, UP, DOWN = 4, 2, 1, 3
@@ -181,21 +181,27 @@ class TestRollout:
         assert a == b
 
 
-def rebuilt_unrolled_weight(conv, h, w, dtype):
-    """Conv2d's small-map weight rebuilt through the tap matrix: the
-    arithmetic before the landing table and the 1x1 slice, with rows
-    ordered (yi, xi, ci) and columns (yo, xo, co), in the
-    dtype the layer computes in (each entry is one weight, so the cast of
-    the float64 matrix rounds each weight once)."""
-    c_out, c = conv.weight.shape[:2]
-    yi, xi, yo, xo = np.indices((h, w, h, w)).reshape(4, -1)
-    ky, kx = yi - yo + 1, xi - xo + 1
-    pairs = np.flatnonzero((ky >= 0) & (ky < 3) & (kx >= 0) & (kx < 3))
-    taps = np.zeros((9, h * w * h * w))
-    taps[ky[pairs] * 3 + kx[pairs], pairs] = 1.0
-    placed = conv.weight.reshape(c_out, c, 9) @ taps
-    placed = placed.reshape(c_out, c, h, w, h, w).transpose(2, 3, 1, 4, 5, 0)
-    return np.ascontiguousarray(placed.reshape(h * w * c, h * w * c_out), dtype=dtype)
+def rebuilt_operands(conv, fold, w, dtype):
+    """Conv2d's band and bias rebuilt through a 0/1 tap matrix, with no
+    tap table: rows ordered (ky, xi, ci) and columns (xo, co), in the dtype
+    the layer computes in. With fold, the weight and bias are first scaled
+    by the BatchNorm's a = gamma/sqrt(running_var + eps) in float64, so each
+    band entry is one folded weight rounded once."""
+    weight, bias = conv.weight, conv.bias
+    if fold:
+        bn = conv.bn
+        scale = bn.gamma / np.sqrt(bn.running_var + BN_EPS)
+        weight = weight * scale[:, None, None, None]
+        bias = (bias - bn.running_mean) * scale + bn.beta
+    c_out, c = weight.shape[:2]
+    xi, xo = np.indices((w, w)).reshape(2, -1)
+    kx = xi - xo + 1
+    pairs = np.flatnonzero((kx >= 0) & (kx < 3))
+    taps = np.zeros((3, w * w))
+    taps[kx[pairs], pairs] = 1.0
+    placed = (weight @ taps).reshape(c_out, c, 3, w, w).transpose(2, 3, 1, 4, 0)
+    band = np.ascontiguousarray(placed.reshape(3 * w * c, w * c_out), dtype=dtype)
+    return band, bias.astype(dtype)
 
 
 class ScalarDrawPolicy:
@@ -240,7 +246,7 @@ class TestNetworkPolicyEquivalence:
         net = net_with_running_statistics(13)
         reference = ScalarDrawPolicy(net, mode)
         with monkeypatch.context() as patched:
-            patched.setattr(Conv2d, "_unrolled_weight", rebuilt_unrolled_weight)
+            patched.setattr(Conv2d, "_operands", rebuilt_operands)
             expected = rollout(reference, m, case, plan, seed=14)
         probs = []
 
@@ -260,7 +266,8 @@ class TestNetworkPolicyEquivalence:
 
     def test_rollout_runs_the_nets_own_layers(self, monkeypatch):
         # a traced run names a net's layers by id, so NetworkPolicy must run
-        # the layer objects of the net it was given, never a copy of them
+        # the layer objects of the net it was given, never a copy of them;
+        # every conv computes its BatchNorm in eval mode, so no BatchNorm runs
         m = generate_map(8, 8, 0.1, seed=4)
         case = generate_case(m, 3, seed=5)
         plan = cbs_solve(m, case)
@@ -281,8 +288,10 @@ class TestNetworkPolicyEquivalence:
         assert policy.net is net
         traj = rollout(policy, m, case, plan, seed=0)
         assert traj.steps > 0
-        assert {id(layer) for layer in seen} == {id(layer) for layer in layers}
-        assert len(seen) == traj.steps * len(layers)
+        run = [layer for layer in layers if not isinstance(layer, BatchNorm2d)]
+        assert len(run) == len(layers) - 6
+        assert {id(layer) for layer in seen} == {id(layer) for layer in run}
+        assert len(seen) == traj.steps * len(run)
 
 
 def one_robot_traj(arrival, t_max, success):

@@ -7,14 +7,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mapfgnn import datastore
+from mapfgnn import datastore, executor
 from mapfgnn.errors import ConfigError, NonFiniteGradient, SolverTimeout
-from mapfgnn.executor import IdlePolicy, PlanReplayPolicy
+from mapfgnn.executor import IdlePolicy, NetworkPolicy, PlanReplayPolicy
 from mapfgnn.expert import cbs_solve
 from mapfgnn.gridworld import build_gso, generate_case, generate_map
 from mapfgnn.jsonio import encode_float64s
 from mapfgnn.nn_core import ParamStore, log_softmax, one_hot
-from mapfgnn.policy import PolicyArch, PolicyNetwork
+from mapfgnn.policy import PolicyArch, PolicyNetwork, policy_forward
 from mapfgnn.training import (
     AdamState,
     Dataset,
@@ -583,7 +583,8 @@ class TestMixedPrecision:
     def test_float32_values_float64_storage(self, trained):
         """Every CNN activation and input gradient of a uint8 pass is float32;
         every parameter, gradient, running statistic and Adam moment stays
-        float64. Train mode at 640 rows, eval mode at 1 and 10."""
+        float64. Train mode at 640 rows, eval mode (which runs no BatchNorm
+        layer) at 1 and 10."""
         net, batches = trained
         net = copy.deepcopy(net)
         seen = []
@@ -603,7 +604,8 @@ class TestMixedPrecision:
         adam_step(net.store, adam, 1e-3, TrainConfig())
         for rows in (1, 10):
             net.encode(np.concatenate([s.obs for s in batches["random"]])[:rows])
-        assert len(seen) == len(net.cnn) * 4
+        bns = sum(type(layer).__name__ == "BatchNorm2d" for layer in net.cnn)
+        assert len(seen) == len(net.cnn) * 4 - bns * 2
         for (layer, method), dtype_in, dtype_out in seen:
             first_conv_input = layer == "Conv2d" and method == "forward" and dtype_in == np.uint8
             assert first_conv_input or dtype_in == np.float32, (layer, method)
@@ -754,3 +756,78 @@ class TestFit:
         assert len(history) == 2
         for key in ("epoch", "lr", "train_loss", "train_acc", "train_size"):
             assert key in history[0]
+
+
+class TestBlasThreadCount:
+    """Training bytes do not depend on the BLAS thread count: a paper-arch
+    train step (encode, head, both backwards, adam_step), an evaluate pass,
+    an epoch that ends on a partial batch and a sampled rollout give the
+    same losses, gradients, weights and probabilities at one and two
+    threads."""
+
+    @staticmethod
+    def batch(rows):
+        rng = np.random.default_rng(rows)
+        return random_team_batch(rng, teams=1, n=1) if rows == 1 else random_team_batch(
+            rng, teams=rows // 4
+        )
+
+    @staticmethod
+    def arrays(net):
+        store = net.store
+        return {group: {k: a.tobytes() for k, a in getattr(store, group).items()}
+                for group in ("params", "grads", "state")}
+
+    @pytest.mark.parametrize("rows", [1, 4, 16, 40, 72, 640])
+    def test_a_train_step_and_an_evaluate_pass(self, rows, blas_threads):
+        batch = self.batch(rows)
+        seen = {}
+        for threads in (1, 2):
+            blas_threads(threads)
+            net = PolicyNetwork(PolicyArch(), seed=rows)
+            adam = AdamState(net.store)
+            net.store.zero_grads()
+            step = _batch_pass(net, batch, train=True)
+            grads = self.arrays(net)["grads"]
+            adam_step(net.store, adam, 1e-3, TrainConfig())
+            scored = evaluate(net, Dataset(split="valid", samples=batch), TrainConfig())
+            seen[threads] = (step, grads, self.arrays(net), scored)
+        assert seen[1] == seen[2]
+
+    def test_an_epoch_ending_on_a_partial_batch(self, blas_threads):
+        # 18 four-robot samples in batches of 16: a 64-row batch, then 8 rows
+        samples = self.batch(72)
+        config = TrainConfig(batch_size=16, seed=3)
+        seen = {}
+        for threads in (1, 2):
+            blas_threads(threads)
+            net = PolicyNetwork(PolicyArch(), seed=3)
+            adam = AdamState(net.store)
+            ds = Dataset(split="train", samples=samples)
+            losses = [train_epoch(net, adam, ds, config, epoch) for epoch in range(2)]
+            seen[threads] = (losses, self.arrays(net), evaluate(net, ds, config))
+        assert seen[1] == seen[2]
+
+    def test_a_sampled_rollout(self, blas_threads, monkeypatch):
+        grid = generate_map(12, 12, 0.1, seed=8)
+        case = generate_case(grid, 6, seed=9)
+        plan = cbs_solve(grid, case)
+        net = PolicyNetwork(PolicyArch(), seed=8)
+        adam = AdamState(net.store)
+        train_epoch(net, adam, Dataset(split="train", samples=self.batch(72)),
+                    TrainConfig(batch_size=16), 0)
+        probs = []
+
+        def recorded(*args):
+            probs.append(policy_forward(*args))
+            return probs[-1]
+
+        monkeypatch.setattr(executor, "policy_forward", recorded)
+        seen = {}
+        for threads in (1, 2):
+            blas_threads(threads)
+            probs.clear()
+            traj = executor.rollout(NetworkPolicy(net, mode="sample"), grid, case, plan, seed=10)
+            seen[threads] = (traj, [p.tobytes() for p in probs])
+        assert seen[1][0].steps > 1
+        assert seen[1] == seen[2]
